@@ -121,7 +121,7 @@ fn intake_build(bytes: &[u8], schema: &Schema) -> (CosineSynopsis, u64, u64, u64
     let mut syn = fresh();
     let mut ledger = RejectLedger::new(16);
     let report = {
-        let mut sink = CosineSink::new(&mut syn, 1);
+        let mut sink = CosineSink::new(&mut syn, 1, &[0]);
         run(
             Cursor::new(bytes),
             schema,

@@ -35,15 +35,17 @@ use dctstream_core::{
     DctError, Domain, Grid, MultiDimSynopsis,
 };
 use dctstream_intake::{
-    probe as intake_probe, run as intake_run, CountSink, DurableSink, IntakeError, IntakeOptions,
-    ProbeOptions, RejectCause, RejectLedger, RowSink, Schema, SinkError,
+    probe as intake_probe, run as intake_run, Column, ColumnType, CountSink, DurableSink,
+    IntakeError, IntakeOptions, IntakeReport, MultiSink, ProbeOptions, RejectCause, RejectLedger,
+    RowSink, Schema, SinkError,
 };
 use dctstream_stream::{
     read_checkpoint, write_checkpoint, DurableProcessor, FleetOptions, HealthCause, ParallelIngest,
-    ShardedRegistry, StreamEvent, StreamProcessor, Summary, Tuple,
+    ShardedRegistry, StreamProcessor, Summary,
 };
 use std::fmt::Write as _;
 use std::fs;
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
 /// CLI errors: either a usage problem or an underlying estimation /
@@ -90,6 +92,15 @@ impl From<DctError> for CliError {
     }
 }
 
+impl From<IntakeError> for CliError {
+    fn from(e: IntakeError) -> Self {
+        match e {
+            IntakeError::Io(e) => CliError::Io(e),
+            IntakeError::Sink(e) => CliError::Dct(e),
+        }
+    }
+}
+
 /// Result alias for CLI operations.
 pub type CliResult<T> = std::result::Result<T, CliError>;
 
@@ -107,12 +118,14 @@ pub fn emit_line(line: &str) -> std::io::Result<()> {
     out.flush()
 }
 
-/// Optional typed-intake settings shared by `build` and `build2`.
-/// All default to off, which keeps the legacy clean-CSV fast path.
+/// Optional typed-intake settings shared by `build` and `build2`, which
+/// read CSV only through the typed intake layer: malformed rows become
+/// ledger rejects instead of hard errors.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IntakeFlags {
-    /// `.schema` file routing ingestion through the typed intake layer
-    /// (malformed rows become ledger rejects instead of hard errors).
+    /// `.schema` file to read the input under. Without one, the schema
+    /// is implied by the input's first line: its field count is the
+    /// arity, the target columns are `int`, and the rest are `text`.
     pub schema: Option<PathBuf>,
     /// Append every reject as one attributed line to this sidecar file.
     pub rejects: Option<PathBuf>,
@@ -422,9 +435,9 @@ pub fn usage() -> &'static str {
     "usage: dctstream <command> [options]\n\
      commands:\n\
        build    --input F --column I --domain LO:HI -m M --out F [--skip-header] [--threads N]\n\
-                [--schema F [--rejects F] [--delimiter D] [--reject-threshold R]]\n\
+                [--wal-dir DIR] [--schema F] [--rejects F] [--delimiter D] [--reject-threshold R]\n\
        build2   --input F --columns I,J --domains LO:HI,LO:HI --degree D --out F [--skip-header]\n\
-                [--schema F [--rejects F] [--delimiter D] [--reject-threshold R]]\n\
+                [--schema F] [--rejects F] [--delimiter D] [--reject-threshold R]\n\
        probe    INPUT [--delimiter D] [--sample-rows N|--full-scan] [--header|--no-header] [--out F]\n\
        verify   INPUT --schema F [--rejects F] [--delimiter D] [--reject-threshold R]\n\
        info     <synopsis>\n\
@@ -460,11 +473,14 @@ pub fn usage() -> &'static str {
      domains, header detection) from the first N rows; verify checks a\n\
      file against a schema and reports every reject with row/column/cause\n\
      attribution; build*/probe/verify read stdin when INPUT is '-'\n\
-     --schema routes build* through the typed intake layer: malformed\n\
-     rows (wrong arity, bad values, out-of-domain, bad quoting/encoding,\n\
-     blank lines) land in the rejects ledger (--rejects writes one line\n\
-     per reject) instead of failing the build; --reject-threshold R\n\
-     quarantines the stream and aborts when rejected/seen exceeds R\n\
+     build* read CSV through the typed intake layer: malformed rows\n\
+     (wrong arity, bad values, out-of-domain, bad quoting/encoding, blank\n\
+     lines) land in the rejects ledger (--rejects writes one line per\n\
+     reject) instead of failing the build; --reject-threshold R\n\
+     quarantines the stream and aborts when rejected/seen exceeds R;\n\
+     without --schema the input's first line implies one (its field\n\
+     count on --delimiter is the arity, target columns are int, the rest\n\
+     text); unknown flags and stray arguments are usage errors\n\
      checkpoint bundles summary files into one checksummed manifest;\n\
      restore validates it and reports (or --extract's) every stream\n\
      --wal-dir DIR (build, checkpoint) write-ahead logs every event into\n\
@@ -505,147 +521,179 @@ pub fn usage() -> &'static str {
      tail, verifies it, and installs the follower as the new primary"
 }
 
+/// Flags that take no value; every other `--name` (or `-name`) consumes
+/// the next argument.
+const SWITCHES: &[&str] = &[
+    "skip-header",
+    "header",
+    "no-header",
+    "full-scan",
+    "checkpoint",
+    "json",
+    "prom",
+    "no-fair",
+    "closed",
+];
+
+fn usage_err(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+/// Split `A<sep>B` and parse both halves.
+fn pair<T: std::str::FromStr>(s: &str, sep: char) -> Option<(T, T)> {
+    let (a, b) = s.split_once(sep)?;
+    Some((a.trim().parse().ok()?, b.trim().parse().ok()?))
+}
+
 fn parse_domain(s: &str) -> CliResult<(i64, i64)> {
-    let (lo, hi) = s
-        .split_once(':')
-        .ok_or_else(|| CliError::Usage(format!("domain '{s}' must be LO:HI")))?;
-    let lo = lo
-        .trim()
-        .parse()
-        .map_err(|_| CliError::Usage(format!("bad domain bound '{lo}'")))?;
-    let hi = hi
-        .trim()
-        .parse()
-        .map_err(|_| CliError::Usage(format!("bad domain bound '{hi}'")))?;
-    if lo > hi {
-        return Err(CliError::Usage(format!("empty domain {lo}:{hi}")));
+    match pair(s, ':') {
+        Some((lo, hi)) if lo <= hi => Ok((lo, hi)),
+        Some((lo, hi)) => Err(usage_err(format!("empty domain {lo}:{hi}"))),
+        None => Err(usage_err(format!("domain '{s}' must be LO:HI"))),
     }
-    Ok((lo, hi))
 }
 
+/// One subcommand's arguments. Each flag, switch and positional is
+/// removed as the subcommand reads it; [`Flags::done`] then rejects
+/// whatever is left, so a misspelled flag or a stray argument is a usage
+/// error rather than silently ignored.
 struct Flags {
-    named: std::collections::HashMap<String, String>,
-    bools: std::collections::HashSet<String>,
-    positional: Vec<String>,
-}
-
-fn split_flags(args: &[String], bool_flags: &[&str]) -> CliResult<Flags> {
-    let mut named = std::collections::HashMap::new();
-    let mut bools = std::collections::HashSet::new();
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if bool_flags.contains(&name) {
-                bools.insert(name.to_string());
-            } else {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
-                named.insert(name.to_string(), v.clone());
-            }
-        } else if let Some(name) = a.strip_prefix('-') {
-            let v = it
-                .next()
-                .ok_or_else(|| CliError::Usage(format!("-{name} needs a value")))?;
-            named.insert(name.to_string(), v.clone());
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    Ok(Flags {
-        named,
-        bools,
-        positional,
-    })
+    cmd: String,
+    named: Vec<(String, String)>,
+    switches: Vec<String>,
+    positional: std::collections::VecDeque<String>,
 }
 
 impl Flags {
-    fn take(&mut self, name: &str) -> CliResult<String> {
-        self.named
-            .remove(name)
-            .ok_or_else(|| CliError::Usage(format!("missing --{name}")))
-    }
-
-    fn take_opt(&mut self, name: &str) -> Option<String> {
-        self.named.remove(name)
-    }
-
-    fn parse<T: std::str::FromStr>(&mut self, name: &str) -> CliResult<T> {
-        let v = self.take(name)?;
-        v.parse()
-            .map_err(|_| CliError::Usage(format!("bad value '{v}' for --{name}")))
-    }
-}
-
-/// Optional `--threads N` flag shared by `build` and `merge`; defaults
-/// to 1 (the exact serial path).
-fn parse_threads(f: &mut Flags) -> CliResult<usize> {
-    match f.take_opt("threads") {
-        None => Ok(1),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --threads '{v}'")))?;
-            if n == 0 {
-                return Err(CliError::Usage("--threads must be at least 1".into()));
-            }
-            Ok(n)
-        }
-    }
-}
-
-/// The optional typed-intake flags shared by `build` and `build2`.
-/// `--rejects`, `--delimiter`, and `--reject-threshold` only make sense
-/// when `--schema` routes ingestion through the intake layer.
-fn parse_intake_flags(f: &mut Flags) -> CliResult<IntakeFlags> {
-    let flags = IntakeFlags {
-        schema: f.take_opt("schema").map(PathBuf::from),
-        rejects: f.take_opt("rejects").map(PathBuf::from),
-        delimiter: f.take_opt("delimiter"),
-        reject_threshold: parse_reject_threshold(f)?,
-    };
-    if flags.schema.is_none() {
-        for (flag, set) in [
-            ("rejects", flags.rejects.is_some()),
-            ("delimiter", flags.delimiter.is_some()),
-            ("reject-threshold", flags.reject_threshold.is_some()),
-        ] {
-            if set {
-                return Err(CliError::Usage(format!(
-                    "--{flag} needs --schema (the typed intake path)"
-                )));
+    fn new(cmd: &str, args: &[String]) -> CliResult<Flags> {
+        let mut f = Flags {
+            cmd: cmd.to_string(),
+            named: Vec::new(),
+            switches: Vec::new(),
+            positional: Default::default(),
+        };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            // `-m` and `--m` are one flag; a bare `-` is a positional
+            // (stdin).
+            let name = a.strip_prefix("--").or_else(|| a.strip_prefix('-'));
+            match name.filter(|n| !n.is_empty()) {
+                None => f.positional.push_back(a.clone()),
+                Some(n) if SWITCHES.contains(&n) => f.switches.push(n.to_string()),
+                Some(n) => {
+                    let v = it
+                        .next()
+                        .ok_or_else(|| usage_err(format!("--{n} needs a value")))?;
+                    f.named.push((n.to_string(), v.clone()));
+                }
             }
         }
+        Ok(f)
     }
-    Ok(flags)
-}
 
-fn parse_reject_threshold(f: &mut Flags) -> CliResult<Option<f64>> {
-    match f.take_opt("reject-threshold") {
-        None => Ok(None),
-        Some(v) => {
-            let t: f64 = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --reject-threshold '{v}'")))?;
-            if !(0.0..=1.0).contains(&t) {
-                return Err(CliError::Usage(
-                    "--reject-threshold must be in [0, 1]".into(),
-                ));
+    /// Optional `--name`, parsed; the last occurrence wins.
+    fn opt<T: std::str::FromStr>(&mut self, name: &str) -> CliResult<Option<T>> {
+        let mut last = None;
+        self.named.retain(|(n, v)| {
+            let hit = n == name;
+            if hit {
+                last = Some(v.clone());
             }
-            Ok(Some(t))
+            !hit
+        });
+        last.map(|v| {
+            v.parse()
+                .map_err(|_| usage_err(format!("bad value '{v}' for --{name}")))
+        })
+        .transpose()
+    }
+
+    /// Required `--name`, parsed.
+    fn req<T: std::str::FromStr>(&mut self, name: &str) -> CliResult<T> {
+        self.opt(name)?
+            .ok_or_else(|| usage_err(format!("missing --{name}")))
+    }
+
+    /// Optional `--name` whose parsed value must satisfy `ok`.
+    fn checked<T: std::str::FromStr>(
+        &mut self,
+        name: &str,
+        ok: impl Fn(&T) -> bool,
+        want: &str,
+    ) -> CliResult<Option<T>> {
+        match self.opt(name)? {
+            Some(v) if !ok(&v) => Err(usage_err(format!("--{name} must be {want}"))),
+            v => Ok(v),
         }
     }
-}
 
-/// The single required positional directory shared by the fleet
-/// commands.
-fn one_dir(f: &Flags, cmd: &str) -> CliResult<PathBuf> {
-    match f.positional.as_slice() {
-        [dir] => Ok(PathBuf::from(dir)),
-        _ => Err(CliError::Usage(format!(
-            "{cmd} takes exactly one fleet directory"
-        ))),
+    /// Optional `--name` that must be at least 1.
+    fn count<T: std::str::FromStr + PartialOrd + From<u8>>(
+        &mut self,
+        name: &str,
+    ) -> CliResult<Option<T>> {
+        self.checked(name, |n| *n >= T::from(1), "at least 1")
+    }
+
+    /// Optional `--name` in `[0, 1]`.
+    fn ratio(&mut self, name: &str) -> CliResult<Option<f64>> {
+        self.checked(name, |t| (0.0..=1.0).contains(t), "in [0, 1]")
+    }
+
+    /// Required `--name` of the form `A<sep>B`.
+    fn req_pair<T: std::str::FromStr>(&mut self, name: &str, sep: char) -> CliResult<(T, T)> {
+        let v: String = self.req(name)?;
+        pair(&v, sep).ok_or_else(|| usage_err(format!("bad value '{v}' for --{name}")))
+    }
+
+    /// Whether switch `--name` was given.
+    fn switch(&mut self, name: &str) -> bool {
+        let before = self.switches.len();
+        self.switches.retain(|s| s != name);
+        self.switches.len() != before
+    }
+
+    /// The next positional argument, described by `what` when missing.
+    fn arg<T: From<String>>(&mut self, what: &str) -> CliResult<T> {
+        match self.positional.pop_front() {
+            Some(a) => Ok(a.into()),
+            None => Err(usage_err(format!("{} needs {what}", self.cmd))),
+        }
+    }
+
+    /// The next positional argument, if any.
+    fn opt_arg<T: From<String>>(&mut self) -> Option<T> {
+        self.positional.pop_front().map(T::from)
+    }
+
+    /// Every remaining positional argument; at least `min` of them.
+    fn rest<T: From<String>>(&mut self, min: usize, what: &str) -> CliResult<Vec<T>> {
+        if self.positional.len() < min {
+            return Err(usage_err(format!("{} needs {what}", self.cmd)));
+        }
+        Ok(self.positional.drain(..).map(T::from).collect())
+    }
+
+    /// The shared typed-intake flags of `build` and `build2`.
+    fn intake(&mut self) -> CliResult<IntakeFlags> {
+        Ok(IntakeFlags {
+            schema: self.opt("schema")?,
+            rejects: self.opt("rejects")?,
+            delimiter: self.opt("delimiter")?,
+            reject_threshold: self.ratio("reject-threshold")?,
+        })
+    }
+
+    /// Fail on the first flag, switch or positional nobody consumed.
+    fn done(self) -> CliResult<()> {
+        let cmd = &self.cmd;
+        if let Some(n) = self.named.first().map(|(n, _)| n).or(self.switches.first()) {
+            return Err(usage_err(format!("unknown flag --{n} for {cmd}")));
+        }
+        match self.positional.front() {
+            Some(p) => Err(usage_err(format!("unexpected argument '{p}' for {cmd}"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -653,621 +701,273 @@ fn one_dir(f: &Flags, cmd: &str) -> CliResult<PathBuf> {
 pub fn parse(args: &[String]) -> CliResult<Command> {
     let (cmd, rest) = args
         .split_first()
-        .ok_or_else(|| CliError::Usage("no command given".into()))?;
-    match cmd.as_str() {
+        .ok_or_else(|| usage_err("no command given"))?;
+    let mut f = Flags::new(cmd, rest)?;
+    let command = match cmd.as_str() {
         "build" => {
-            let mut f = split_flags(rest, &["skip-header"])?;
-            let threads = parse_threads(&mut f)?;
-            let wal_dir = f.take_opt("wal-dir").map(PathBuf::from);
+            let threads = f.count("threads")?.unwrap_or(1);
+            let wal_dir = f.opt("wal-dir")?;
             if wal_dir.is_some() && threads > 1 {
-                return Err(CliError::Usage(
+                return Err(usage_err(
                     "--wal-dir logs events one at a time and needs the serial \
-                     path; drop --threads or the WAL"
-                        .into(),
+                     path; drop --threads or the WAL",
                 ));
             }
-            let intake = parse_intake_flags(&mut f)?;
-            Ok(Command::Build {
-                input: PathBuf::from(f.take("input")?),
-                column: f.parse("column")?,
-                domain: parse_domain(&f.take("domain")?)?,
-                m: f.parse("m")?,
-                out: PathBuf::from(f.take("out")?),
-                skip_header: f.bools.contains("skip-header"),
+            Command::Build {
+                input: f.req("input")?,
+                column: f.req("column")?,
+                domain: parse_domain(&f.req::<String>("domain")?)?,
+                m: f.req("m")?,
+                out: f.req("out")?,
+                skip_header: f.switch("skip-header"),
                 threads,
                 wal_dir,
-                intake,
-            })
+                intake: f.intake()?,
+            }
         }
         "build2" => {
-            let mut f = split_flags(rest, &["skip-header"])?;
-            let intake = parse_intake_flags(&mut f)?;
-            let cols = f.take("columns")?;
-            let (c0, c1) = cols
-                .split_once(',')
-                .ok_or_else(|| CliError::Usage("--columns must be I,J".into()))?;
-            let doms = f.take("domains")?;
-            let (d0, d1) = doms
-                .split_once(',')
-                .ok_or_else(|| CliError::Usage("--domains must be LO:HI,LO:HI".into()))?;
-            Ok(Command::Build2 {
-                input: PathBuf::from(f.take("input")?),
-                columns: (
-                    c0.trim()
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("bad column '{c0}'")))?,
-                    c1.trim()
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("bad column '{c1}'")))?,
-                ),
-                domains: (parse_domain(d0)?, parse_domain(d1)?),
-                degree: f.parse("degree")?,
-                out: PathBuf::from(f.take("out")?),
-                skip_header: f.bools.contains("skip-header"),
-                intake,
-            })
+            let (d0, d1) = f.req_pair::<String>("domains", ',')?;
+            Command::Build2 {
+                input: f.req("input")?,
+                columns: f.req_pair("columns", ',')?,
+                domains: (parse_domain(&d0)?, parse_domain(&d1)?),
+                degree: f.req("degree")?,
+                out: f.req("out")?,
+                skip_header: f.switch("skip-header"),
+                intake: f.intake()?,
+            }
         }
         "probe" => {
-            let mut f = split_flags(rest, &["header", "no-header", "full-scan"])?;
-            if f.bools.contains("header") && f.bools.contains("no-header") {
-                return Err(CliError::Usage(
-                    "--header and --no-header are mutually exclusive".into(),
-                ));
-            }
-            let header = if f.bools.contains("header") {
-                Some(true)
-            } else if f.bools.contains("no-header") {
-                Some(false)
-            } else {
-                None
-            };
-            let sample_rows = match f.take_opt("sample-rows") {
-                None if f.bools.contains("full-scan") => 0,
-                None => 2000,
-                Some(_) if f.bools.contains("full-scan") => {
-                    return Err(CliError::Usage(
-                        "--sample-rows and --full-scan are mutually exclusive".into(),
-                    ));
+            let header = match (f.switch("header"), f.switch("no-header")) {
+                (true, true) => {
+                    return Err(usage_err("--header and --no-header are mutually exclusive"))
                 }
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --sample-rows '{v}'")))?,
+                (true, false) => Some(true),
+                (false, true) => Some(false),
+                (false, false) => None,
             };
-            let [input] = f.positional.as_slice() else {
-                return Err(CliError::Usage(
-                    "probe takes one input path ('-' for stdin)".into(),
-                ));
+            let sample_rows = match (f.opt("sample-rows")?, f.switch("full-scan")) {
+                (Some(_), true) => {
+                    return Err(usage_err(
+                        "--sample-rows and --full-scan are mutually exclusive",
+                    ))
+                }
+                (Some(n), false) => n,
+                (None, true) => 0,
+                (None, false) => 2000,
             };
-            Ok(Command::Probe {
-                input: PathBuf::from(input),
-                delimiter: f.take_opt("delimiter"),
+            Command::Probe {
+                input: f.arg("an input path ('-' for stdin)")?,
+                delimiter: f.opt("delimiter")?,
                 sample_rows,
                 header,
-                out: f.take_opt("out").map(PathBuf::from),
-            })
-        }
-        "verify" => {
-            let mut f = split_flags(rest, &[])?;
-            let schema = PathBuf::from(f.take("schema")?);
-            let reject_threshold = parse_reject_threshold(&mut f)?;
-            let [input] = f.positional.as_slice() else {
-                return Err(CliError::Usage(
-                    "verify takes one input path ('-' for stdin)".into(),
-                ));
-            };
-            Ok(Command::Verify {
-                input: PathBuf::from(input),
-                schema,
-                rejects: f.take_opt("rejects").map(PathBuf::from),
-                delimiter: f.take_opt("delimiter"),
-                reject_threshold,
-            })
-        }
-        "info" => {
-            let f = split_flags(rest, &[])?;
-            let [path] = f.positional.as_slice() else {
-                return Err(CliError::Usage("info takes one synopsis path".into()));
-            };
-            Ok(Command::Info {
-                path: PathBuf::from(path),
-            })
-        }
-        "join" => {
-            let mut f = split_flags(rest, &[])?;
-            let budget = f.take_opt("budget").map(|v| {
-                v.parse()
-                    .map_err(|_| CliError::Usage(format!("bad --budget '{v}'")))
-            });
-            let budget = budget.transpose()?;
-            let [left, right] = f.positional.as_slice() else {
-                return Err(CliError::Usage("join takes two synopsis paths".into()));
-            };
-            Ok(Command::Join {
-                left: PathBuf::from(left),
-                right: PathBuf::from(right),
-                budget,
-            })
-        }
-        "chain" => {
-            let mut f = split_flags(rest, &[])?;
-            let budget = f
-                .take_opt("budget")
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --budget '{v}'")))
-                })
-                .transpose()?;
-            if f.positional.len() < 2 {
-                return Err(CliError::Usage(
-                    "chain takes at least two synopsis paths".into(),
-                ));
+                out: f.opt("out")?,
             }
-            Ok(Command::Chain {
-                paths: f.positional.iter().map(PathBuf::from).collect(),
-                budget,
-            })
         }
-        "range" => {
-            let mut f = split_flags(rest, &[])?;
-            let [path] = f.positional.as_slice() else {
-                return Err(CliError::Usage("range takes one synopsis path".into()));
-            };
-            Ok(Command::Range {
-                path: PathBuf::from(path),
-                from: f.parse("from")?,
-                to: f.parse("to")?,
-            })
-        }
-        "selfjoin" => {
-            let f = split_flags(rest, &[])?;
-            let [path] = f.positional.as_slice() else {
-                return Err(CliError::Usage("selfjoin takes one synopsis path".into()));
-            };
-            Ok(Command::SelfJoin {
-                path: PathBuf::from(path),
-            })
-        }
-        "band" => {
-            let mut f = split_flags(rest, &[])?;
-            let width = f.parse("width")?;
-            let [left, right] = f.positional.as_slice() else {
-                return Err(CliError::Usage("band takes two synopsis paths".into()));
-            };
-            Ok(Command::Band {
-                left: PathBuf::from(left),
-                right: PathBuf::from(right),
-                width,
-            })
-        }
-        "box" => {
-            let mut f = split_flags(rest, &[])?;
-            let parse_pair = |s: &str| -> CliResult<(i64, i64)> {
-                let (a, b) = s
-                    .split_once(',')
-                    .ok_or_else(|| CliError::Usage(format!("'{s}' must be A,B")))?;
-                Ok((
-                    a.trim()
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("bad bound '{a}'")))?,
-                    b.trim()
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("bad bound '{b}'")))?,
-                ))
-            };
-            let lo = parse_pair(&f.take("lo")?)?;
-            let hi = parse_pair(&f.take("hi")?)?;
-            let [path] = f.positional.as_slice() else {
-                return Err(CliError::Usage("box takes one synopsis path".into()));
-            };
-            Ok(Command::Box {
-                path: PathBuf::from(path),
-                lo,
-                hi,
-            })
-        }
-        "merge" => {
-            let mut f = split_flags(rest, &[])?;
-            let out = PathBuf::from(f.take("out")?);
-            let threads = parse_threads(&mut f)?;
-            if f.positional.is_empty() {
-                return Err(CliError::Usage("merge takes at least one shard".into()));
-            }
-            Ok(Command::Merge {
-                inputs: f.positional.iter().map(PathBuf::from).collect(),
-                out,
-                threads,
-            })
-        }
+        "verify" => Command::Verify {
+            input: f.arg("an input path ('-' for stdin)")?,
+            schema: f.req("schema")?,
+            rejects: f.opt("rejects")?,
+            delimiter: f.opt("delimiter")?,
+            reject_threshold: f.ratio("reject-threshold")?,
+        },
+        "info" => Command::Info {
+            path: f.arg("a synopsis path")?,
+        },
+        "join" => Command::Join {
+            left: f.arg("two synopsis paths")?,
+            right: f.arg("two synopsis paths")?,
+            budget: f.opt("budget")?,
+        },
+        "chain" => Command::Chain {
+            paths: f.rest(2, "at least two synopsis paths")?,
+            budget: f.opt("budget")?,
+        },
+        "range" => Command::Range {
+            path: f.arg("a synopsis path")?,
+            from: f.req("from")?,
+            to: f.req("to")?,
+        },
+        "selfjoin" => Command::SelfJoin {
+            path: f.arg("a synopsis path")?,
+        },
+        "band" => Command::Band {
+            left: f.arg("two synopsis paths")?,
+            right: f.arg("two synopsis paths")?,
+            width: f.req("width")?,
+        },
+        "box" => Command::Box {
+            path: f.arg("a synopsis path")?,
+            lo: f.req_pair("lo", ',')?,
+            hi: f.req_pair("hi", ',')?,
+        },
+        "merge" => Command::Merge {
+            inputs: f.rest(1, "at least one shard")?,
+            out: f.req("out")?,
+            threads: f.count("threads")?.unwrap_or(1),
+        },
         "checkpoint" => {
-            let mut f = split_flags(rest, &[])?;
-            let out = f.take_opt("out").map(PathBuf::from);
-            let wal_dir = f.take_opt("wal-dir").map(PathBuf::from);
+            let out = f.opt("out")?;
+            let wal_dir = f.opt("wal-dir")?;
             if out.is_none() && wal_dir.is_none() {
-                return Err(CliError::Usage(
-                    "checkpoint needs --out FILE, --wal-dir DIR, or both".into(),
+                return Err(usage_err(
+                    "checkpoint needs --out FILE, --wal-dir DIR, or both",
                 ));
             }
-            if f.positional.is_empty() {
-                return Err(CliError::Usage(
-                    "checkpoint takes at least one NAME=FILE pair".into(),
-                ));
-            }
-            let mut streams = Vec::with_capacity(f.positional.len());
-            for p in &f.positional {
-                let (name, path) = p
-                    .split_once('=')
-                    .ok_or_else(|| CliError::Usage(format!("'{p}' must be NAME=FILE")))?;
-                if name.is_empty() {
-                    return Err(CliError::Usage(format!("empty stream name in '{p}'")));
+            let mut streams = Vec::new();
+            for p in f.rest::<String>(1, "at least one NAME=FILE pair")? {
+                match p.split_once('=') {
+                    Some((name, path)) if !name.is_empty() => {
+                        streams.push((name.to_string(), PathBuf::from(path)))
+                    }
+                    _ => return Err(usage_err(format!("'{p}' must be NAME=FILE"))),
                 }
-                streams.push((name.to_string(), PathBuf::from(path)));
             }
-            Ok(Command::Checkpoint {
+            Command::Checkpoint {
                 streams,
                 out,
                 wal_dir,
-            })
+            }
         }
-        "restore" => {
-            let mut f = split_flags(rest, &[])?;
-            let extract = f.take_opt("extract").map(PathBuf::from);
-            let [path] = f.positional.as_slice() else {
-                return Err(CliError::Usage("restore takes one checkpoint path".into()));
-            };
-            Ok(Command::Restore {
-                path: PathBuf::from(path),
-                extract,
-            })
-        }
-        "wal-replay" => {
-            let f = split_flags(rest, &["checkpoint"])?;
-            let [dir] = f.positional.as_slice() else {
-                return Err(CliError::Usage(
-                    "wal-replay takes one registry directory".into(),
-                ));
-            };
-            Ok(Command::WalReplay {
-                dir: PathBuf::from(dir),
-                checkpoint: f.bools.contains("checkpoint"),
-            })
-        }
-        "health" => {
-            let f = split_flags(rest, &[])?;
-            let [dir] = f.positional.as_slice() else {
-                return Err(CliError::Usage(
-                    "health takes one registry directory".into(),
-                ));
-            };
-            Ok(Command::Health {
-                dir: PathBuf::from(dir),
-            })
-        }
-        "scrub" => {
-            let f = split_flags(rest, &[])?;
-            let [dir] = f.positional.as_slice() else {
-                return Err(CliError::Usage("scrub takes one registry directory".into()));
-            };
-            Ok(Command::Scrub {
-                dir: PathBuf::from(dir),
-            })
-        }
-        "repair" => {
-            let f = split_flags(rest, &["checkpoint"])?;
-            let Some((dir, streams)) = f.positional.split_first() else {
-                return Err(CliError::Usage(
-                    "repair takes a registry directory, then optional stream names".into(),
-                ));
-            };
-            Ok(Command::Repair {
-                dir: PathBuf::from(dir),
-                streams: streams.to_vec(),
-                checkpoint: f.bools.contains("checkpoint"),
-            })
-        }
-        "stats" => {
-            let f = split_flags(rest, &["json", "prom"])?;
-            let format = match (f.bools.contains("json"), f.bools.contains("prom")) {
-                (true, true) => {
-                    return Err(CliError::Usage("--json and --prom are exclusive".into()))
-                }
+        "restore" => Command::Restore {
+            path: f.arg("a checkpoint path")?,
+            extract: f.opt("extract")?,
+        },
+        "wal-replay" => Command::WalReplay {
+            dir: f.arg("a registry directory")?,
+            checkpoint: f.switch("checkpoint"),
+        },
+        "health" => Command::Health {
+            dir: f.arg("a registry directory")?,
+        },
+        "scrub" => Command::Scrub {
+            dir: f.arg("a registry directory")?,
+        },
+        "repair" => Command::Repair {
+            dir: f.arg("a registry directory")?,
+            streams: f.rest(0, "stream names")?,
+            checkpoint: f.switch("checkpoint"),
+        },
+        "stats" => Command::Stats {
+            format: match (f.switch("json"), f.switch("prom")) {
+                (true, true) => return Err(usage_err("--json and --prom are exclusive")),
                 (true, false) => StatsFormat::Json,
                 (false, true) => StatsFormat::Prom,
                 (false, false) => StatsFormat::Table,
-            };
-            let dir = match f.positional.as_slice() {
-                [] => None,
-                [dir] => Some(PathBuf::from(dir)),
-                _ => {
-                    return Err(CliError::Usage(
-                        "stats takes at most one registry directory".into(),
-                    ))
-                }
-            };
-            Ok(Command::Stats { dir, format })
-        }
-        "watch" => {
-            let mut f = split_flags(rest, &[])?;
-            let interval_ms = match f.take_opt("interval") {
-                None => 1000,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --interval '{v}'")))?,
-            };
-            let iterations = f
-                .take_opt("iterations")
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --iterations '{v}'")))
-                })
-                .transpose()?;
-            let dir = match f.positional.as_slice() {
-                [] => None,
-                [dir] => Some(PathBuf::from(dir)),
-                _ => {
-                    return Err(CliError::Usage(
-                        "watch takes at most one registry directory".into(),
-                    ))
-                }
-            };
-            Ok(Command::Watch {
-                dir,
-                interval_ms,
-                iterations,
-            })
-        }
-        "serve" => {
-            let mut f = split_flags(rest, &["no-fair"])?;
-            let listen = f
-                .take_opt("listen")
-                .unwrap_or_else(|| "127.0.0.1:7171".to_string());
-            let workers = match f.take_opt("workers") {
-                None => 4,
-                Some(v) => match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --workers '{v}'"))),
-                },
-            };
-            let queue_depth = match f.take_opt("queue") {
-                None => 64,
-                Some(v) => match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --queue '{v}'"))),
-                },
-            };
-            let publish_every = match f.take_opt("publish-every") {
-                None => 1024,
-                Some(v) => match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --publish-every '{v}'"))),
-                },
-            };
-            let shards = match f.take_opt("shards") {
-                None => 0,
-                Some(v) => match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --shards '{v}'"))),
-                },
-            };
-            let estimate_cache = match f.take_opt("cache") {
-                None => 1024,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --cache '{v}'")))?,
-            };
-            let tenant_quota = match f.take_opt("tenant-quota") {
-                None => 0,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --tenant-quota '{v}'")))?,
-            };
-            let fair = !f.bools.contains("no-fair");
-            let dir = match f.positional.as_slice() {
-                [dir] => PathBuf::from(dir),
-                _ => {
-                    return Err(CliError::Usage(
-                        "serve takes exactly one registry directory".into(),
-                    ))
-                }
-            };
-            Ok(Command::Serve {
-                dir,
-                listen,
-                workers,
-                queue_depth,
-                publish_every,
-                shards,
-                estimate_cache,
-                tenant_quota,
-                fair,
-            })
-        }
+            },
+            dir: f.opt_arg(),
+        },
+        "watch" => Command::Watch {
+            dir: f.opt_arg(),
+            interval_ms: f.opt("interval")?.unwrap_or(1000),
+            iterations: f.opt("iterations")?,
+        },
+        "serve" => Command::Serve {
+            dir: f.arg("a registry directory")?,
+            listen: f.opt("listen")?.unwrap_or_else(|| "127.0.0.1:7171".into()),
+            workers: f.count("workers")?.unwrap_or(4),
+            queue_depth: f.count("queue")?.unwrap_or(64),
+            publish_every: f.count("publish-every")?.unwrap_or(1024),
+            shards: f.count("shards")?.unwrap_or(0),
+            estimate_cache: f.opt("cache")?.unwrap_or(1024),
+            tenant_quota: f.opt("tenant-quota")?.unwrap_or(0),
+            fair: !f.switch("no-fair"),
+        },
         "record" => {
-            let mut f = split_flags(rest, &[])?;
-            let out = PathBuf::from(f.take("out")?);
-            let listen = f
-                .take_opt("listen")
-                .map(|v| {
-                    v.parse::<u16>()
-                        .map_err(|_| CliError::Usage(format!("bad --listen '{v}'")))
-                })
-                .transpose()?;
-            let upstream = f.take_opt("upstream");
+            let out = f.req("out")?;
+            let listen: Option<u16> = f.opt("listen")?;
+            let upstream: Option<String> = f.opt("upstream")?;
             if listen.is_some() != upstream.is_some() {
-                return Err(CliError::Usage(
-                    "proxy mode needs both --listen and --upstream".into(),
-                ));
+                return Err(usage_err("proxy mode needs both --listen and --upstream"));
             }
-            let mut cfg = dctstream_replay::SynthesisConfig::default();
-            if let Some(v) = f.take_opt("seed") {
-                cfg.seed = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --seed '{v}'")))?;
-            }
-            if let Some(v) = f.take_opt("ops") {
-                cfg.ops = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --ops '{v}'")))?;
-            }
-            if let Some(v) = f.take_opt("tenants") {
-                cfg.tenants = match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --tenants '{v}'"))),
-                };
-            }
-            if let Some(v) = f.take_opt("streams") {
-                cfg.streams_per_tenant = match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --streams '{v}'"))),
-                };
-            }
-            if let Some(v) = f.take_opt("zipf") {
-                cfg.zipf_z = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --zipf '{v}'")))?;
-            }
-            if let Some(v) = f.take_opt("mix") {
-                let parts: Vec<&str> = v.split(':').collect();
-                cfg.mix = match parts.as_slice() {
-                    [i, e, c] => match (i.parse(), e.parse(), c.parse()) {
-                        (Ok(ingest), Ok(estimate), Ok(chain)) => dctstream_replay::OpMix {
+            let d = dctstream_replay::SynthesisConfig::default();
+            let mix = match f.opt::<String>("mix")? {
+                None => d.mix,
+                Some(v) => {
+                    let parts: Result<Vec<u32>, _> = v.split(':').map(str::parse).collect();
+                    match parts.as_deref() {
+                        Ok(&[ingest, estimate, chain]) => dctstream_replay::OpMix {
                             ingest,
                             estimate,
                             chain,
                         },
                         _ => {
-                            return Err(CliError::Usage(format!(
+                            return Err(usage_err(format!(
                                 "bad --mix '{v}': want INGEST:ESTIMATE:CHAIN"
                             )))
                         }
-                    },
-                    _ => {
-                        return Err(CliError::Usage(format!(
-                            "bad --mix '{v}': want INGEST:ESTIMATE:CHAIN"
-                        )))
                     }
-                };
-            }
-            if let Some(v) = f.take_opt("rows") {
-                cfg.rows_per_ingest = match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --rows '{v}'"))),
-                };
-            }
-            if let Some(v) = f.take_opt("domain") {
-                cfg.domain = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --domain '{v}'")))?;
-            }
-            if let Some(v) = f.take_opt("m") {
-                cfg.coefficients = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad -m '{v}'")))?;
-            }
-            if let Some(v) = f.take_opt("degree") {
-                cfg.degree = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --degree '{v}'")))?;
-            }
-            if let Some(v) = f.take_opt("gap-us") {
-                cfg.mean_gap_us = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --gap-us '{v}'")))?;
-            }
-            if !f.positional.is_empty() {
-                return Err(CliError::Usage(
-                    "record takes no positional arguments".into(),
-                ));
-            }
-            Ok(Command::Record {
+                }
+            };
+            let cfg = dctstream_replay::SynthesisConfig {
+                seed: f.opt("seed")?.unwrap_or(d.seed),
+                ops: f.opt("ops")?.unwrap_or(d.ops),
+                tenants: f.count("tenants")?.unwrap_or(d.tenants),
+                streams_per_tenant: f.count("streams")?.unwrap_or(d.streams_per_tenant),
+                zipf_z: f.opt("zipf")?.unwrap_or(d.zipf_z),
+                mix,
+                rows_per_ingest: f.count("rows")?.unwrap_or(d.rows_per_ingest),
+                domain: f.opt("domain")?.unwrap_or(d.domain),
+                coefficients: f.opt("m")?.unwrap_or(d.coefficients),
+                degree: f.opt("degree")?.unwrap_or(d.degree),
+                mean_gap_us: f.opt("gap-us")?.unwrap_or(d.mean_gap_us),
+                ..d
+            };
+            Command::Record {
                 out,
                 listen,
                 upstream,
                 cfg,
-            })
+            }
         }
         "replay" => {
-            let mut f = split_flags(rest, &["closed", "json"])?;
-            let addr = f.take_opt("addr");
-            let shards = match f.take_opt("shards") {
-                None => 0,
-                Some(v) => match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --shards '{v}'"))),
-                },
-            };
-            let connections = match f.take_opt("connections") {
-                None => 1,
-                Some(v) => match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(CliError::Usage(format!("bad --connections '{v}'"))),
-                },
-            };
-            let speedup = match f.take_opt("speedup") {
-                None => 1.0,
-                Some(v) => match v.parse::<f64>() {
-                    Ok(x) if x.is_finite() && x > 0.0 => x,
-                    _ => return Err(CliError::Usage(format!("bad --speedup '{v}'"))),
-                },
-            };
-            let (trace, dir) = match f.positional.as_slice() {
-                [trace] => (PathBuf::from(trace), None),
-                [trace, dir] => (PathBuf::from(trace), Some(PathBuf::from(dir))),
-                _ => {
-                    return Err(CliError::Usage(
-                        "replay takes a trace file and optionally a registry directory".into(),
-                    ))
-                }
-            };
+            let trace = f.arg("a trace file")?;
+            let dir: Option<PathBuf> = f.opt_arg();
+            let addr: Option<String> = f.opt("addr")?;
+            let shards = f.count("shards")?.unwrap_or(0);
             if dir.is_some() == addr.is_some() {
-                return Err(CliError::Usage(
-                    "replay needs either a registry directory or --addr, not both".into(),
+                return Err(usage_err(
+                    "replay needs either a registry directory or --addr, not both",
                 ));
             }
             if shards > 0 && dir.is_none() {
-                return Err(CliError::Usage(
-                    "--shards only applies to the self-hosted daemon (give a directory)".into(),
+                return Err(usage_err(
+                    "--shards only applies to the self-hosted daemon (give a directory)",
                 ));
             }
-            Ok(Command::Replay {
+            Command::Replay {
                 trace,
                 dir,
                 addr,
                 shards,
-                connections,
-                speedup,
-                closed: f.bools.contains("closed"),
-                json: f.bools.contains("json"),
-            })
-        }
-        "fleet-init" => {
-            let mut f = split_flags(rest, &[])?;
-            let shards: usize = f.parse("shards")?;
-            if shards == 0 {
-                return Err(CliError::Usage("--shards must be at least 1".into()));
+                connections: f.count("connections")?.unwrap_or(1),
+                speedup: f
+                    .checked("speedup", |x: &f64| x.is_finite() && *x > 0.0, "positive")?
+                    .unwrap_or(1.0),
+                closed: f.switch("closed"),
+                json: f.switch("json"),
             }
-            let dir = one_dir(&f, "fleet-init")?;
-            Ok(Command::FleetInit { dir, shards })
         }
-        "fleet-status" => {
-            let f = split_flags(rest, &[])?;
-            Ok(Command::FleetStatus {
-                dir: one_dir(&f, "fleet-status")?,
-            })
-        }
-        "fleet-ship" => {
-            let f = split_flags(rest, &[])?;
-            Ok(Command::FleetShip {
-                dir: one_dir(&f, "fleet-ship")?,
-            })
-        }
-        "fleet-promote" => {
-            let mut f = split_flags(rest, &[])?;
-            let shard: usize = f.parse("shard")?;
-            let dir = one_dir(&f, "fleet-promote")?;
-            Ok(Command::FleetPromote { dir, shard })
-        }
-        other => Err(CliError::Usage(format!("unknown command '{other}'"))),
-    }
+        "fleet-init" => Command::FleetInit {
+            dir: f.arg("a fleet directory")?,
+            shards: f
+                .count("shards")?
+                .ok_or_else(|| usage_err("missing --shards"))?,
+        },
+        "fleet-status" => Command::FleetStatus {
+            dir: f.arg("a fleet directory")?,
+        },
+        "fleet-ship" => Command::FleetShip {
+            dir: f.arg("a fleet directory")?,
+        },
+        "fleet-promote" => Command::FleetPromote {
+            dir: f.arg("a fleet directory")?,
+            shard: f.req("shard")?,
+        },
+        other => return Err(usage_err(format!("unknown command '{other}'"))),
+    };
+    f.done()?;
+    Ok(command)
 }
 
 /// Resolve `HOST:PORT` to a socket address (first resolution wins).
@@ -1330,7 +1030,7 @@ fn wal_stream_name(out: &Path) -> CliResult<String> {
 }
 
 /// Open a CSV input for streaming reads; `-` reads stdin.
-fn open_input(path: &Path) -> CliResult<Box<dyn std::io::BufRead>> {
+fn open_input(path: &Path) -> CliResult<Box<dyn BufRead>> {
     if path == Path::new("-") {
         Ok(Box::new(std::io::stdin().lock()))
     } else {
@@ -1338,16 +1038,11 @@ fn open_input(path: &Path) -> CliResult<Box<dyn std::io::BufRead>> {
     }
 }
 
-/// Read a whole CSV input into memory (the legacy build paths); `-`
-/// reads stdin.
-fn read_input_text(path: &Path) -> CliResult<String> {
-    if path == Path::new("-") {
-        let mut s = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut s)?;
-        Ok(s)
-    } else {
-        Ok(fs::read_to_string(path)?)
-    }
+/// A `--delimiter` spec, defaulting to comma.
+fn delimiter_or_comma(spec: Option<&str>) -> CliResult<u8> {
+    spec.map_or(Ok(b','), |s| {
+        dctstream_intake::parse_delimiter(s).map_err(CliError::Usage)
+    })
 }
 
 /// Load a `.schema` file, applying the `--delimiter` override and
@@ -1375,25 +1070,104 @@ fn make_ledger(rejects: Option<&Path>) -> CliResult<RejectLedger> {
     }
 }
 
-fn intake_failure(e: IntakeError) -> CliError {
-    match e {
-        IntakeError::Io(e) => CliError::Io(e),
-        IntakeError::Sink(e) => CliError::Dct(e),
+/// A `build`/`build2` input opened for typed intake.
+struct TypedInput {
+    reader: Box<dyn BufRead>,
+    schema: Schema,
+    opts: IntakeOptions,
+    ledger: RejectLedger,
+}
+
+impl TypedInput {
+    /// Open `input` under the `--schema` file or, without one, under the
+    /// schema its first line implies: that line's field count is the
+    /// arity, the `targets` are `int` and every other column is `text`.
+    /// An empty input implies just the columns the targets need.
+    fn open(
+        input: &Path,
+        intake: &IntakeFlags,
+        skip_header: bool,
+        targets: Vec<usize>,
+    ) -> CliResult<TypedInput> {
+        let mut reader = open_input(input)?;
+        let schema = match &intake.schema {
+            Some(path) => load_schema_file(path, intake.delimiter.as_deref(), skip_header)?,
+            None => {
+                let delimiter = delimiter_or_comma(intake.delimiter.as_deref())?;
+                let mut first = Vec::new();
+                reader.read_until(b'\n', &mut first)?;
+                let line = String::from_utf8_lossy(&first);
+                let line = line.trim_end_matches(['\n', '\r']);
+                let arity = if first.is_empty() {
+                    targets.iter().max().map_or(1, |t| t + 1)
+                } else {
+                    // A first line with broken quoting still has a field
+                    // count: the raw one.
+                    dctstream_intake::split_fields(line, delimiter).map_or_else(
+                        |_| line.bytes().filter(|&b| b == delimiter).count() + 1,
+                        |fields| fields.len(),
+                    )
+                };
+                let columns = (0..arity)
+                    .map(|i| Column {
+                        name: format!("c{i}"),
+                        ty: if targets.contains(&i) {
+                            ColumnType::Int
+                        } else {
+                            ColumnType::Text
+                        },
+                        domain: None,
+                    })
+                    .collect();
+                reader = Box::new(std::io::Read::chain(std::io::Cursor::new(first), reader));
+                Schema {
+                    delimiter,
+                    has_header: skip_header,
+                    columns,
+                }
+            }
+        };
+        if let Some(t) = targets.iter().find(|&&t| t >= schema.arity()) {
+            return Err(CliError::Usage(format!(
+                "column {t} out of range for the {}-column input",
+                schema.arity()
+            )));
+        }
+        Ok(TypedInput {
+            reader,
+            schema,
+            opts: IntakeOptions {
+                targets,
+                reject_threshold: intake.reject_threshold,
+                ..IntakeOptions::default()
+            },
+            ledger: make_ledger(intake.rejects.as_deref())?,
+        })
+    }
+
+    /// Stream every row into `sink`, ledgering the rejects.
+    fn run(mut self, sink: &mut impl RowSink) -> CliResult<IntakeReport> {
+        Ok(intake_run(
+            self.reader,
+            &self.schema,
+            &self.opts,
+            &mut self.ledger,
+            sink,
+        )?)
     }
 }
 
-/// Intake sink replicating the legacy `build` ingestion exactly —
-/// per-row updates at `--threads 1`, one whole-batch parallel flush
-/// otherwise — so `--schema` over a clean file produces a synopsis
-/// bit-identical to the legacy path's.
-struct LegacyCosineSink<'a> {
+/// The `build` sink: per-row updates at `--threads 1`, which keeps a
+/// `--wal-dir` build byte-identical to the plain one, and one
+/// whole-input parallel flush otherwise.
+struct BuildSink<'a> {
     syn: &'a mut CosineSynopsis,
     threads: usize,
     target: usize,
     batch: Vec<(i64, f64)>,
 }
 
-impl RowSink for LegacyCosineSink<'_> {
+impl RowSink for BuildSink<'_> {
     fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
         let v = values[0];
         let d = self.syn.domain();
@@ -1424,49 +1198,6 @@ impl RowSink for LegacyCosineSink<'_> {
     }
 }
 
-/// Intake sink replicating the legacy `build2` per-row ingestion.
-struct LegacyMultiSink<'a> {
-    syn: &'a mut MultiDimSynopsis,
-    targets: (usize, usize),
-    batch: Vec<([i64; 2], f64)>,
-}
-
-impl RowSink for LegacyMultiSink<'_> {
-    fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
-        let pair = [values[0], values[1]];
-        let cols = [self.targets.0, self.targets.1];
-        for ((&v, d), col) in pair.iter().zip(self.syn.domains()).zip(cols) {
-            if !d.contains(v) {
-                return Err(SinkError::Reject(RejectCause::OutOfDomain {
-                    column: col,
-                    value: v,
-                    lo: d.lo(),
-                    hi: d.hi(),
-                }));
-            }
-        }
-        self.batch.push((pair, weight));
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<(), DctError> {
-        for (pair, w) in &self.batch {
-            self.syn.update(pair, *w)?;
-        }
-        self.batch.clear();
-        Ok(())
-    }
-}
-
-fn parse_csv_value(line: &str, column: usize, lineno: usize) -> CliResult<i64> {
-    line.split(',')
-        .nth(column)
-        .ok_or_else(|| CliError::Usage(format!("line {lineno}: no column {column} in '{line}'")))?
-        .trim()
-        .parse()
-        .map_err(|_| CliError::Usage(format!("line {lineno}: bad integer in column {column}")))
-}
-
 /// Execute a command, returning the text to print.
 pub fn run(cmd: Command) -> CliResult<String> {
     match cmd {
@@ -1482,27 +1213,33 @@ pub fn run(cmd: Command) -> CliResult<String> {
             intake,
         } => {
             let mut syn = CosineSynopsis::new(Domain::new(domain.0, domain.1), Grid::Midpoint, m)?;
-            if let Some(schema_path) = &intake.schema {
-                // Typed intake path: malformed rows become attributed
-                // ledger rejects instead of failing the build.
-                let schema =
-                    load_schema_file(schema_path, intake.delimiter.as_deref(), skip_header)?;
-                if column >= schema.arity() {
-                    return Err(CliError::Usage(format!(
-                        "--column {column} out of range for the {}-column schema",
-                        schema.arity()
-                    )));
+            let coefficients = syn.coefficient_count();
+            let typed = TypedInput::open(&input, &intake, skip_header, vec![column])?;
+            let (report, wal_note) = match wal_dir {
+                None => {
+                    let report = typed.run(&mut BuildSink {
+                        syn: &mut syn,
+                        threads,
+                        target: column,
+                        batch: Vec::new(),
+                    })?;
+                    if report.quarantined.is_some() {
+                        return Err(CliError::Quarantined(report.render()));
+                    }
+                    fs::write(&out, syn.to_bytes())?;
+                    (report, String::new())
                 }
-                let opts = IntakeOptions {
-                    targets: vec![column],
-                    reject_threshold: intake.reject_threshold,
-                    ..IntakeOptions::default()
-                };
-                let mut ledger = make_ledger(intake.rejects.as_deref())?;
-                if let Some(dir) = wal_dir {
+                Some(dir) => {
+                    // Crash-durable ingestion: every accepted row is
+                    // write-ahead logged into `dir`, then the registry is
+                    // checkpointed so the covered WAL segments can retire.
+                    // A crash mid-build is recovered with `wal-replay`.
                     let name = wal_stream_name(&out)?;
                     let (mut dp, _) = DurableProcessor::open(&dir)?;
                     if dp.processor().summary(&name).is_some() {
+                        // A prior build (possibly one that crashed mid-way)
+                        // already logged rows for this stream; re-ingesting
+                        // the CSV from the start would double-count them.
                         return Err(CliError::Usage(format!(
                             "stream '{name}' already has logged state in {}; \
                              re-running build would double-count every row already \
@@ -1513,11 +1250,7 @@ pub fn run(cmd: Command) -> CliResult<String> {
                         )));
                     }
                     dp.register(name.clone(), Summary::Cosine(syn))?;
-                    let report = {
-                        let mut sink = DurableSink::new(&mut dp, name.clone(), &opts.targets);
-                        intake_run(open_input(&input)?, &schema, &opts, &mut ledger, &mut sink)
-                            .map_err(intake_failure)?
-                    };
+                    let report = typed.run(&mut DurableSink::new(&mut dp, &*name, &[column]))?;
                     if report.quarantined.is_some() {
                         dp.quarantine_stream(
                             &name,
@@ -1545,119 +1278,20 @@ pub fn run(cmd: Command) -> CliResult<String> {
                             ))
                         })?;
                     fs::write(&out, s.to_bytes())?;
-                    return Ok(format!(
-                        "built 1-d synopsis: {} tuples ({} rejected), {} coefficients -> {} \
-                         (WAL at {}, watermark {})\n{}",
-                        report.accepted,
-                        report.rejected,
-                        s.coefficient_count(),
-                        out.display(),
+                    let note = format!(
+                        " (WAL at {}, watermark {})",
                         dir.display(),
-                        dp.wal_watermark(),
-                        report.render().trim_end()
-                    ));
+                        dp.wal_watermark()
+                    );
+                    (report, note)
                 }
-                let report = {
-                    let mut sink = LegacyCosineSink {
-                        syn: &mut syn,
-                        threads,
-                        target: column,
-                        batch: Vec::new(),
-                    };
-                    intake_run(open_input(&input)?, &schema, &opts, &mut ledger, &mut sink)
-                        .map_err(intake_failure)?
-                };
-                if report.quarantined.is_some() {
-                    return Err(CliError::Quarantined(report.render()));
-                }
-                fs::write(&out, syn.to_bytes())?;
-                return Ok(format!(
-                    "built 1-d synopsis: {} tuples ({} rejected), {} coefficients -> {}\n{}",
-                    report.accepted,
-                    report.rejected,
-                    syn.coefficient_count(),
-                    out.display(),
-                    report.render().trim_end()
-                ));
-            }
-            let text = read_input_text(&input)?;
-            let mut rows = 0u64;
-            if let Some(dir) = wal_dir {
-                // Crash-durable ingestion: every tuple is write-ahead
-                // logged into `dir`, then the registry is checkpointed
-                // so the covered WAL segments can retire. A crash mid-
-                // build is recovered with `wal-replay`.
-                let name = wal_stream_name(&out)?;
-                let (mut dp, _) = DurableProcessor::open(&dir)?;
-                if dp.processor().summary(&name).is_some() {
-                    // A prior build (possibly one that crashed mid-way)
-                    // already logged rows for this stream; re-ingesting
-                    // the CSV from the start would double-count them.
-                    return Err(CliError::Usage(format!(
-                        "stream '{name}' already has logged state in {}; \
-                         re-running build would double-count every row already \
-                         ingested. Run `wal-replay {}` to recover it, or point \
-                         --wal-dir at a fresh directory",
-                        dir.display(),
-                        dir.display()
-                    )));
-                }
-                dp.register(name.clone(), Summary::Cosine(syn))?;
-                for (i, line) in text.lines().enumerate().skip(usize::from(skip_header)) {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let v = parse_csv_value(line, column, i + 1)?;
-                    dp.process(&name, &StreamEvent::Insert(Tuple::unary(v)))?;
-                    rows += 1;
-                }
-                dp.checkpoint()?;
-                let s = dp
-                    .processor()
-                    .summary(&name)
-                    .and_then(Summary::as_cosine)
-                    .ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "stream '{name}' in {} is not a 1-d cosine synopsis",
-                            dir.display()
-                        ))
-                    })?;
-                fs::write(&out, s.to_bytes())?;
-                return Ok(format!(
-                    "built 1-d synopsis: {rows} tuples, {} coefficients -> {} \
-                     (WAL at {}, watermark {})",
-                    s.coefficient_count(),
-                    out.display(),
-                    dir.display(),
-                    dp.wal_watermark()
-                ));
-            }
-            if threads > 1 {
-                // Shard-and-merge ingestion: parse the whole column into a
-                // weighted batch, then flush it across worker threads.
-                let mut batch: Vec<(i64, f64)> = Vec::new();
-                for (i, line) in text.lines().enumerate().skip(usize::from(skip_header)) {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    batch.push((parse_csv_value(line, column, i + 1)?, 1.0));
-                    rows += 1;
-                }
-                ParallelIngest::with_threads(threads).flush_cosine(&mut syn, &batch)?;
-            } else {
-                for (i, line) in text.lines().enumerate().skip(usize::from(skip_header)) {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    syn.insert(parse_csv_value(line, column, i + 1)?)?;
-                    rows += 1;
-                }
-            }
-            fs::write(&out, syn.to_bytes())?;
+            };
             Ok(format!(
-                "built 1-d synopsis: {rows} tuples, {} coefficients -> {}",
-                syn.coefficient_count(),
-                out.display()
+                "built 1-d synopsis: {} tuples ({} rejected), {coefficients} coefficients -> {}{wal_note}\n{}",
+                report.accepted,
+                report.rejected,
+                out.display(),
+                report.render().trim_end()
             ))
         }
         Command::Build2 {
@@ -1677,63 +1311,21 @@ pub fn run(cmd: Command) -> CliResult<String> {
                 Grid::Midpoint,
                 degree,
             )?;
-            if let Some(schema_path) = &intake.schema {
-                let schema =
-                    load_schema_file(schema_path, intake.delimiter.as_deref(), skip_header)?;
-                if columns.0 >= schema.arity() || columns.1 >= schema.arity() {
-                    return Err(CliError::Usage(format!(
-                        "--columns {},{} out of range for the {}-column schema",
-                        columns.0,
-                        columns.1,
-                        schema.arity()
-                    )));
-                }
-                let opts = IntakeOptions {
-                    targets: vec![columns.0, columns.1],
-                    reject_threshold: intake.reject_threshold,
-                    ..IntakeOptions::default()
-                };
-                let mut ledger = make_ledger(intake.rejects.as_deref())?;
-                let report = {
-                    let mut sink = LegacyMultiSink {
-                        syn: &mut syn,
-                        targets: columns,
-                        batch: Vec::new(),
-                    };
-                    intake_run(open_input(&input)?, &schema, &opts, &mut ledger, &mut sink)
-                        .map_err(intake_failure)?
-                };
-                if report.quarantined.is_some() {
-                    return Err(CliError::Quarantined(report.render()));
-                }
-                fs::write(&out, syn.to_bytes())?;
-                return Ok(format!(
-                    "built 2-d synopsis: {} tuples ({} rejected), degree {}, {} coefficients -> {}\n{}",
-                    report.accepted,
-                    report.rejected,
-                    syn.degree(),
-                    syn.coefficient_count(),
-                    out.display(),
-                    report.render().trim_end()
-                ));
-            }
-            let text = read_input_text(&input)?;
-            let mut rows = 0u64;
-            for (i, line) in text.lines().enumerate().skip(usize::from(skip_header)) {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let a = parse_csv_value(line, columns.0, i + 1)?;
-                let b = parse_csv_value(line, columns.1, i + 1)?;
-                syn.insert(&[a, b])?;
-                rows += 1;
+            let targets = vec![columns.0, columns.1];
+            let report = TypedInput::open(&input, &intake, skip_header, targets.clone())?
+                .run(&mut MultiSink::new(&mut syn, 1, &targets))?;
+            if report.quarantined.is_some() {
+                return Err(CliError::Quarantined(report.render()));
             }
             fs::write(&out, syn.to_bytes())?;
             Ok(format!(
-                "built 2-d synopsis: {rows} tuples, degree {}, {} coefficients -> {}",
+                "built 2-d synopsis: {} tuples ({} rejected), degree {}, {} coefficients -> {}\n{}",
+                report.accepted,
+                report.rejected,
                 syn.degree(),
                 syn.coefficient_count(),
-                out.display()
+                out.display(),
+                report.render().trim_end()
             ))
         }
         Command::Probe {
@@ -1743,12 +1335,8 @@ pub fn run(cmd: Command) -> CliResult<String> {
             header,
             out,
         } => {
-            let delimiter = match delimiter.as_deref() {
-                Some(spec) => dctstream_intake::parse_delimiter(spec).map_err(CliError::Usage)?,
-                None => b',',
-            };
             let opts = ProbeOptions {
-                delimiter,
+                delimiter: delimiter_or_comma(delimiter.as_deref())?,
                 sample_rows,
                 header,
                 ..ProbeOptions::default()
@@ -1797,8 +1385,7 @@ pub fn run(cmd: Command) -> CliResult<String> {
             };
             let mut ledger = make_ledger(rejects.as_deref())?;
             let mut sink = CountSink;
-            let report = intake_run(open_input(&input)?, &schema, &opts, &mut ledger, &mut sink)
-                .map_err(intake_failure)?;
+            let report = intake_run(open_input(&input)?, &schema, &opts, &mut ledger, &mut sink)?;
             Ok(report.render().trim_end().to_string())
         }
         Command::Info { path } => {
@@ -2835,7 +2422,7 @@ mod tests {
     fn bad_csv_reports_line() {
         let csv = tmp("bad.csv");
         fs::write(&csv, "1\nnot_a_number\n").unwrap();
-        let err = run(Command::Build {
+        let out = run(Command::Build {
             input: csv,
             column: 0,
             domain: (0, 9),
@@ -2846,9 +2433,13 @@ mod tests {
             wal_dir: None,
             intake: IntakeFlags::default(),
         })
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("line 2"), "{msg}");
+        .unwrap();
+        // A bad value is an attributed reject, not a failed build.
+        assert!(out.contains("1 tuples (1 rejected)"), "{out}");
+        assert!(
+            out.contains("row 2: column 0 does not parse as int"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -3725,13 +3316,18 @@ mod tests {
             parse(&args("verify in.csv --schema s --reject-threshold 1.5")),
             Err(CliError::Usage(_))
         ));
-        // Intake flags on build require --schema.
-        assert!(matches!(
-            parse(&args(
-                "build --input a --column 0 --domain 0:9 -m 4 --out b --rejects r"
-            )),
-            Err(CliError::Usage(_))
-        ));
+        // Intake flags on build no longer need --schema.
+        let cmd = parse(&args(
+            "build --input a --column 0 --domain 0:9 -m 4 --out b --rejects r \
+             --delimiter ; --reject-threshold 0.5",
+        ))
+        .unwrap();
+        assert!(
+            matches!(&cmd, Command::Build { intake, .. } if intake.schema.is_none()
+                && intake.delimiter.as_deref() == Some(";")
+                && intake.reject_threshold == Some(0.5)),
+            "{cmd:?}"
+        );
     }
 
     #[test]
@@ -3763,7 +3359,7 @@ mod tests {
         assert!(report.contains("rows seen      4"), "{report}");
         assert!(report.contains("rows rejected  0"), "{report}");
 
-        // ...and a build, giving the same bytes as the legacy path.
+        // ...and a build, giving the same bytes as the implicit schema.
         let via_schema = tmp("probe_rt_schema.dcts");
         run(Command::Build {
             input: csv.clone(),
@@ -3780,13 +3376,13 @@ mod tests {
             },
         })
         .unwrap();
-        let legacy = tmp("probe_rt_legacy.dcts");
+        let implicit = tmp("probe_rt_implicit.dcts");
         run(Command::Build {
             input: csv,
             column: 1,
             domain: (0, 9),
             m: 8,
-            out: legacy.clone(),
+            out: implicit.clone(),
             skip_header: true,
             threads: 1,
             wal_dir: None,
@@ -3795,8 +3391,8 @@ mod tests {
         .unwrap();
         assert_eq!(
             fs::read(&via_schema).unwrap(),
-            fs::read(&legacy).unwrap(),
-            "schema intake must be bit-identical to the legacy build"
+            fs::read(&implicit).unwrap(),
+            "the probed schema must build the same bytes as the implicit one"
         );
     }
 
@@ -3969,5 +3565,166 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+    }
+
+    /// Parse and run one command line.
+    fn cli(line: &str) -> CliResult<String> {
+        run(parse(&args(line))?)
+    }
+
+    fn usage_message(line: &str) -> String {
+        match parse(&args(line)) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("expected a usage error for '{line}', got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_arguments_are_usage_errors() {
+        let build = "build --input a.csv --column 0 --domain 0:9 -m 4 --out b.dcts";
+        for (extra, named) in [
+            ("--threds 4", "--threds"),
+            ("extra", "'extra'"),
+            ("--schem f.schema", "--schem"),
+            ("--json", "--json"),
+        ] {
+            let msg = usage_message(&format!("{build} {extra}"));
+            assert!(msg.contains(named), "{extra}: {msg}");
+        }
+        let msg = usage_message("serve wal/ --cahce 0");
+        assert!(msg.contains("--cahce"), "{msg}");
+        let msg = usage_message("replay t.dctt reg/ --conections 2");
+        assert!(msg.contains("--conections"), "{msg}");
+        let msg = usage_message("replay t.dctt reg/ extra");
+        assert!(msg.contains("'extra'"), "{msg}");
+        let msg = usage_message("info a.dcts b.dcts");
+        assert!(msg.contains("'b.dcts'"), "{msg}");
+        // `-m` and `--m` are the same flag, and a bare `-` is stdin.
+        assert!(matches!(
+            parse(&args("build --input - --column 0 --domain 0:9 --m 4 --out b")),
+            Ok(Command::Build { m: 4, ref input, .. }) if input == Path::new("-")
+        ));
+        assert!(matches!(
+            parse(&args("probe -")),
+            Ok(Command::Probe { ref input, .. }) if input == Path::new("-")
+        ));
+    }
+
+    /// A headered file with a text column, a blank line and a
+    /// non-numeric target value.
+    const MIXED: &str = "id,name,val\n1,ann,3\n2,bo,4\n\n3,cy,oops\n4,di,4\n5,ed,9\n";
+
+    #[test]
+    fn implicit_schema_build_matches_the_schema_build() {
+        let csv = tmp("implicit.csv");
+        fs::write(&csv, MIXED).unwrap();
+        let schema = tmp("implicit.schema");
+        fs::write(
+            &schema,
+            "dctstream-schema v1\ndelimiter comma\nheader true\n\
+             column 0 id int\ncolumn 1 name text\ncolumn 2 val int\n",
+        )
+        .unwrap();
+        let (c, s) = (csv.display(), schema.display());
+        for threads in [1, 2] {
+            let (implicit, typed) = (tmp("implicit_a.dcts"), tmp("implicit_b.dcts"));
+            let out = cli(&format!(
+                "build --input {c} --column 2 --domain 0:9 -m 8 --threads {threads} \
+                 --skip-header --out {}",
+                implicit.display()
+            ))
+            .unwrap();
+            assert!(out.contains("4 tuples (2 rejected)"), "{out}");
+            assert!(
+                out.contains("blank-line") && out.contains("bad-value"),
+                "{out}"
+            );
+            cli(&format!(
+                "build --input {c} --column 2 --domain 0:9 -m 8 --threads {threads} \
+                 --schema {s} --out {}",
+                typed.display()
+            ))
+            .unwrap();
+            assert_eq!(fs::read(&implicit).unwrap(), fs::read(&typed).unwrap());
+        }
+        let (implicit, typed) = (tmp("implicit2_a.dcts"), tmp("implicit2_b.dcts"));
+        let build2 = format!("build2 --input {c} --columns 0,2 --domains 0:9,0:9 --degree 4");
+        let out = cli(&format!(
+            "{build2} --skip-header --out {}",
+            implicit.display()
+        ))
+        .unwrap();
+        assert!(out.contains("4 tuples (2 rejected)"), "{out}");
+        cli(&format!("{build2} --schema {s} --out {}", typed.display())).unwrap();
+        assert_eq!(fs::read(&implicit).unwrap(), fs::read(&typed).unwrap());
+    }
+
+    #[test]
+    fn intake_flags_work_without_a_schema() {
+        let csv = tmp("implicit_flags.csv");
+        fs::write(&csv, "1;x;3\n2;y;12\n3;z;4\n").unwrap();
+        let rejects = tmp("implicit_flags.rejects");
+        let _ = fs::remove_file(&rejects);
+        // The out-of-domain value sits in column 2 and is named as such.
+        let out = cli(&format!(
+            "build2 --input {} --columns 0,2 --domains 0:9,0:9 --degree 4 --delimiter ; \
+             --rejects {} --out {}",
+            csv.display(),
+            rejects.display(),
+            tmp("implicit_flags.dcts").display()
+        ))
+        .unwrap();
+        assert!(out.contains("2 tuples (1 rejected)"), "{out}");
+        let sidecar = fs::read_to_string(&rejects).unwrap();
+        assert!(
+            sidecar.contains("row=2 col=2 cause=out-of-domain"),
+            "{sidecar}"
+        );
+
+        let bad: String = (0..300).map(|i| format!("{}\n", i % 20)).collect();
+        let noisy = tmp("implicit_noisy.csv");
+        fs::write(&noisy, bad).unwrap();
+        let err = cli(&format!(
+            "build --input {} --column 0 --domain 0:9 -m 4 --reject-threshold 0.1 --out {}",
+            noisy.display(),
+            tmp("implicit_noisy.dcts").display()
+        ))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Quarantined(_)), "{err:?}");
+    }
+
+    #[test]
+    fn empty_input_writes_an_empty_synopsis() {
+        let csv = tmp("implicit_empty.csv");
+        fs::write(&csv, "").unwrap();
+        let syn = tmp("implicit_empty.dcts");
+        let out = cli(&format!(
+            "build --input {} --column 3 --domain 0:9 -m 4 --out {}",
+            csv.display(),
+            syn.display()
+        ))
+        .unwrap();
+        assert!(out.contains("0 tuples (0 rejected)"), "{out}");
+        assert_eq!(load_cosine(&syn).unwrap().count(), 0.0);
+    }
+
+    #[test]
+    fn column_past_the_first_line_is_a_usage_error() {
+        // A quoted delimiter does not split a field; broken quoting
+        // falls back to the raw count.
+        for first in ["1,2", "\"a,b\",c", "\"a,b"] {
+            let csv = tmp("implicit_narrow.csv");
+            fs::write(&csv, format!("{first}\n3,4\n")).unwrap();
+            let err = cli(&format!(
+                "build --input {} --column 2 --domain 0:9 -m 4 --out {}",
+                csv.display(),
+                tmp("implicit_narrow.dcts").display()
+            ))
+            .unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains("column 2 out of range for the 2-column")),
+                "{first}: {err:?}"
+            );
+        }
     }
 }

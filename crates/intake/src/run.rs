@@ -447,16 +447,20 @@ pub const FLUSH_EVERY: usize = 65_536;
 pub struct CosineSink<'a> {
     syn: &'a mut CosineSynopsis,
     ingest: ParallelIngest,
+    column: usize,
     buf: Vec<(i64, f64)>,
     flush_every: usize,
 }
 
 impl<'a> CosineSink<'a> {
-    /// Feed `syn` with `threads` ingest workers.
-    pub fn new(syn: &'a mut CosineSynopsis, threads: usize) -> Self {
+    /// Feed `syn` with `threads` ingest workers. `targets` is the run's
+    /// [`IntakeOptions::targets`], used only for column attribution of
+    /// domain rejects.
+    pub fn new(syn: &'a mut CosineSynopsis, threads: usize, targets: &[usize]) -> Self {
         Self {
             syn,
             ingest: ParallelIngest::with_threads(threads.max(1)),
+            column: targets.first().copied().unwrap_or(0),
             buf: Vec::new(),
             flush_every: FLUSH_EVERY,
         }
@@ -478,7 +482,7 @@ impl RowSink for CosineSink<'_> {
             // Pre-check so one out-of-domain row cannot fail a whole
             // buffered flush.
             return Err(SinkError::Reject(RejectCause::OutOfDomain {
-                column: 0,
+                column: self.column,
                 value: v,
                 lo: d.lo(),
                 hi: d.hi(),
@@ -508,16 +512,20 @@ impl RowSink for CosineSink<'_> {
 pub struct MultiSink<'a> {
     syn: &'a mut MultiDimSynopsis,
     ingest: ParallelIngest,
+    targets: Vec<usize>,
     buf: Vec<(Vec<i64>, f64)>,
     flush_every: usize,
 }
 
 impl<'a> MultiSink<'a> {
-    /// Feed `syn` with `threads` ingest workers.
-    pub fn new(syn: &'a mut MultiDimSynopsis, threads: usize) -> Self {
+    /// Feed `syn` with `threads` ingest workers. `targets` is the run's
+    /// [`IntakeOptions::targets`], used only for column attribution of
+    /// domain rejects.
+    pub fn new(syn: &'a mut MultiDimSynopsis, threads: usize, targets: &[usize]) -> Self {
         Self {
             syn,
             ingest: ParallelIngest::with_threads(threads.max(1)),
+            targets: targets.to_vec(),
             buf: Vec::new(),
             flush_every: FLUSH_EVERY,
         }
@@ -553,7 +561,7 @@ impl RowSink for MultiSink<'_> {
         for (i, (&v, d)) in values.iter().zip(domains.iter()).enumerate() {
             if !d.contains(v) {
                 return Err(SinkError::Reject(RejectCause::OutOfDomain {
-                    column: i,
+                    column: self.targets.get(i).copied().unwrap_or(i),
                     value: v,
                     lo: d.lo(),
                     hi: d.hi(),
@@ -791,7 +799,7 @@ mod tests {
         let mut ledger = RejectLedger::new(4);
         let mut syn = CosineSynopsis::new(Domain::new(0, 100), Grid::Midpoint, 8).unwrap();
         {
-            let mut sink = CosineSink::new(&mut syn, 1);
+            let mut sink = CosineSink::new(&mut syn, 1, &[0]);
             let report = run(
                 Cursor::new(&b"5,2.5\n5,nan\n5,1.5\n"[..]),
                 &schema,
@@ -841,7 +849,7 @@ mod tests {
         let mut ledger = RejectLedger::new(4);
         let mut syn = CosineSynopsis::new(Domain::new(0, 10), Grid::Midpoint, 8).unwrap();
         {
-            let mut sink = CosineSink::new(&mut syn, 1).with_flush_every(usize::MAX);
+            let mut sink = CosineSink::new(&mut syn, 1, &[0]).with_flush_every(usize::MAX);
             run(
                 Cursor::new(text.as_bytes()),
                 &schema2(),
@@ -864,7 +872,7 @@ mod tests {
         let mut ledger = RejectLedger::new(4);
         let mut syn = CosineSynopsis::new(Domain::new(0, 10), Grid::Midpoint, 8).unwrap();
         let report = {
-            let mut sink = CosineSink::new(&mut syn, 1);
+            let mut sink = CosineSink::new(&mut syn, 1, &[0]);
             run(
                 Cursor::new(&b"5,0\n50,0\n"[..]),
                 &schema2(),
@@ -902,7 +910,7 @@ mod tests {
         )
         .unwrap();
         let report = {
-            let mut sink = MultiSink::new(&mut syn, 2).with_flush_every(2);
+            let mut sink = MultiSink::new(&mut syn, 2, &opts.targets).with_flush_every(2);
             run(
                 Cursor::new(&b"1,2\n3,4\n5,6\n"[..]),
                 &schema,
@@ -914,6 +922,51 @@ mod tests {
         };
         assert_eq!(report.accepted, 3);
         assert!((syn.count() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sink_domain_rejects_name_the_schema_column() {
+        // Three int columns without declared domains: the synopsis
+        // domains alone decide, so only the sinks attribute the reject.
+        let mut schema = schema2();
+        schema.columns[0].domain = None;
+        schema.columns.push(schema.columns[1].clone());
+        let dir = std::env::temp_dir().join(format!("intake-sink-col-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sidecar = |name: &str, run_it: &dyn Fn(&mut RejectLedger)| {
+            let path = dir.join(name);
+            let mut ledger = RejectLedger::new(4).with_sidecar(&path).unwrap();
+            run_it(&mut ledger);
+            std::fs::read_to_string(&path).unwrap()
+        };
+        let text = b"1,2,3\n1,2,99\n";
+
+        let cosine = sidecar("cosine.rejects", &|ledger| {
+            let opts = IntakeOptions {
+                targets: vec![2],
+                ..IntakeOptions::default()
+            };
+            let mut syn = CosineSynopsis::new(Domain::new(0, 10), Grid::Midpoint, 4).unwrap();
+            let mut sink = CosineSink::new(&mut syn, 1, &opts.targets);
+            run(Cursor::new(&text[..]), &schema, &opts, ledger, &mut sink).unwrap();
+        });
+        assert!(
+            cosine.contains("row=2 col=2 cause=out-of-domain"),
+            "{cosine}"
+        );
+
+        let multi = sidecar("multi.rejects", &|ledger| {
+            let opts = IntakeOptions {
+                targets: vec![0, 2],
+                ..IntakeOptions::default()
+            };
+            let domains = vec![Domain::new(0, 10), Domain::new(0, 10)];
+            let mut syn = MultiDimSynopsis::new(domains, Grid::Midpoint, 4).unwrap();
+            let mut sink = MultiSink::new(&mut syn, 1, &opts.targets);
+            run(Cursor::new(&text[..]), &schema, &opts, ledger, &mut sink).unwrap();
+        });
+        assert!(multi.contains("row=2 col=2 cause=out-of-domain"), "{multi}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

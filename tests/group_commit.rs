@@ -377,6 +377,9 @@ fn run_killed(mem: MemStorage, kill_after: u64) -> (Vec<u64>, bool) {
 
 #[test]
 fn kill_at_every_fsync_boundary_never_loses_an_acked_record() {
+    // Its fsyncs bump the global `wal.fsyncs` counter; hold the window
+    // so they cannot land inside a concurrent leg's measured delta.
+    let _w = obs_window();
     // Size the sweep: a clean run's fsync count (scheduling-dependent,
     // so treat it as an upper bound; later kill points simply never
     // fire, which still exercises the clean path).
@@ -444,6 +447,7 @@ fn kill_at_every_fsync_boundary_never_loses_an_acked_record() {
 /// records, same recovered state.
 #[test]
 fn single_threaded_group_commit_matches_always() {
+    let _w = obs_window();
     let mem_group = MemStorage::new();
     let mem_always = MemStorage::new();
     let group_opts = RecoveryOptions {

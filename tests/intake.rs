@@ -72,7 +72,7 @@ fn intake_cosine(bytes: &[u8], threads: usize) -> (CosineSynopsis, IntakeReport)
     let mut ledger = RejectLedger::new(usize::MAX);
     let mut syn = CosineSynopsis::new(Domain::new(0, 999), Grid::Midpoint, 32).unwrap();
     let report = {
-        let mut sink = CosineSink::new(&mut syn, threads);
+        let mut sink = CosineSink::new(&mut syn, threads, &[0]);
         run(
             Cursor::new(bytes),
             &schema,

@@ -891,7 +891,7 @@ proptest! {
         let mut via_intake = CosineSynopsis::new(d, Grid::Midpoint, 24).unwrap();
         let mut ledger = RejectLedger::new(8);
         let report = {
-            let mut sink = CosineSink::new(&mut via_intake, 1).with_flush_every(usize::MAX);
+            let mut sink = CosineSink::new(&mut via_intake, 1, &[0]).with_flush_every(usize::MAX);
             run(
                 Cursor::new(csv.as_bytes()),
                 &schema,
