@@ -1,8 +1,15 @@
 //! `dctstream` — see [`dctstream_cli`] for the command reference.
 
 use dctstream_cli::{emit_line, parse, run, usage, CliError};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+
+/// Write a diagnostic line to stderr. A closed stderr loses the line but
+/// never panics (as `eprintln!` does): the exit code still reports the
+/// failure.
+fn report(msg: &str) {
+    let _ = writeln!(std::io::stderr(), "{msg}");
+}
 
 /// Print the final command output. A downstream reader that closed
 /// early (`dctstream stats | head`) is a success, not a panic: the
@@ -12,7 +19,7 @@ fn finish(out: &str) -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error writing output: {e}");
+            report(&format!("error writing output: {e}"));
             ExitCode::FAILURE
         }
     }
@@ -26,12 +33,12 @@ fn main() -> ExitCode {
     match parse(&args).and_then(run) {
         Ok(out) => finish(&out),
         Err(CliError::Usage(msg)) => {
-            eprintln!("usage error: {msg}\n{}", usage());
+            report(&format!("usage error: {msg}\n{}", usage()));
             ExitCode::FAILURE
         }
         Err(CliError::Io(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            report(&format!("error: {e}"));
             ExitCode::FAILURE
         }
     }

@@ -66,6 +66,30 @@ fn stats_with_closed_stdout_exits_zero() {
     );
 }
 
+/// A usage error whose stderr is a pipe with no reader left: writing the
+/// message fails with `EPIPE`. `main` used to report through
+/// `eprintln!`, which panicked on that failure and exited 101; the
+/// message is now dropped and the usage error still exits 1.
+#[test]
+fn usage_error_with_closed_stderr_exits_one_without_panicking() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = dctstream()
+        .args(["build", "--bogus"])
+        .stdout(Stdio::piped())
+        .stderr(writer)
+        .output()
+        .expect("run dctstream");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "usage error with a closed stderr must exit 1, got {:?}; stdout: {stdout}",
+        out.status
+    );
+    assert!(!stdout.contains("panic"), "must not panic: {stdout}");
+}
+
 /// Sanity: the happy path still prints and exits 0.
 #[test]
 fn help_prints_usage_and_exits_zero() {

@@ -11,6 +11,11 @@
 //! | header fields … | count (f64) | gross (f64) | coefficient sums (f64 × len)
 //! ```
 //!
+//! The magic and version are the shared framing header
+//! (`dctstream_obs::frame`; DESIGN.md §16). A payload
+//! carries no checksum of its own: the formats that store it (the
+//! checkpoint manifest, WAL register records) seal it.
+//!
 //! Decoding validates the magic, version, kind, grid, declared lengths,
 //! and finiteness of every float, so a truncated or corrupted buffer is
 //! rejected rather than producing a silently-wrong synopsis.
@@ -20,6 +25,7 @@ use crate::error::{DctError, Result};
 use crate::multidim::MultiDimSynopsis;
 use crate::synopsis::CosineSynopsis;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use dctstream_obs::frame::{self, FrameError};
 
 /// Magic tag opening every persisted summary payload.
 pub const MAGIC: &[u8; 4] = b"DCTS";
@@ -38,22 +44,6 @@ pub const KIND_AMS: u8 = 3;
 pub const KIND_FAST_AMS: u8 = 4;
 /// Payload kind byte for the sketch crate's `SkimmedSketch`.
 pub const KIND_SKIMMED: u8 = 5;
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
-/// guarding checkpoint manifests and write-ahead-log records. Bitwise,
-/// table-free: the framed payloads are small and the dependency-free form
-/// keeps the workspace std-only.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Human-readable label for a payload kind byte.
 pub fn kind_label(kind: u8) -> &'static str {
@@ -99,32 +89,14 @@ pub fn put_header(buf: &mut BytesMut, kind: u8, aux: u8) {
 /// Validate the 8-byte payload header and return the kind-specific `aux`
 /// byte.
 pub fn check_header(buf: &mut Bytes, expect_kind: u8) -> Result<u8> {
-    if buf.remaining() < 8 {
-        return Err(DctError::InvalidParameter(
-            "buffer too short for a summary header".into(),
-        ));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(DctError::InvalidParameter(
-            "not a dctstream summary (bad magic)".into(),
-        ));
-    }
-    let version = buf.get_u8();
-    if version != VERSION {
-        return Err(DctError::InvalidParameter(format!(
-            "unsupported summary format version {version}"
-        )));
-    }
-    let kind = buf.get_u8();
+    let kind = peek_kind(buf.as_slice())?;
     if kind != expect_kind {
         return Err(DctError::InvalidParameter(format!(
             "summary kind mismatch: found {kind}, expected {expect_kind}"
         )));
     }
-    let aux = buf.get_u8();
-    let _reserved = buf.get_u8();
+    let aux = buf[6];
+    buf.advance(8);
     Ok(aux)
 }
 
@@ -138,17 +110,12 @@ pub fn peek_kind(bytes: &[u8]) -> Result<u8> {
             "buffer too short for a summary header".into(),
         ));
     }
-    if &bytes[..4] != MAGIC {
-        return Err(DctError::InvalidParameter(
-            "not a dctstream summary (bad magic)".into(),
-        ));
-    }
-    if bytes[4] != VERSION {
-        return Err(DctError::InvalidParameter(format!(
-            "unsupported summary format version {}",
-            bytes[4]
-        )));
-    }
+    frame::check_header(bytes, MAGIC, VERSION..=VERSION).map_err(|e| {
+        DctError::InvalidParameter(match e {
+            FrameError::BadVersion(v) => format!("unsupported summary format version {v}"),
+            _ => "not a dctstream summary (bad magic)".into(),
+        })
+    })?;
     Ok(bytes[5])
 }
 

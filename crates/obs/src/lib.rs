@@ -22,18 +22,19 @@
 //!   atomic is read individually; histograms are read count-first so the
 //!   bucket total can never be *less* than the count — see
 //!   [`Histogram::record`] for the ordering argument) that serializes via
-//!   the same length-prefixed, CRC-trailed framing style as the rest of
-//!   the workspace, and renders to Prometheus text exposition, JSON, or a
+//!   the workspace's shared [`frame`] codec (magic, version, sealed with
+//!   a CRC-32), and renders to Prometheus text exposition, JSON, or a
 //!   human table.
 //!
 //! This crate deliberately has **zero dependencies** (not even the
-//! workspace's own `dctstream-core`, which depends on *it*), so it carries
-//! its own small CRC-32 implementation in [`crc`].
+//! workspace's own `dctstream-core`, which depends on *it*). Being the
+//! lowest crate, it also hosts [`frame`], the one on-disk framing codec
+//! every durable format in the workspace is built on.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod crc;
+pub mod frame;
 pub mod metric;
 pub mod registry;
 pub mod render;

@@ -55,6 +55,9 @@ pub enum ReplayError {
         /// What was wrong.
         detail: String,
     },
+    /// A record too large for one trace frame; the writer refused it
+    /// and wrote nothing.
+    TooLarge(dctstream_obs::frame::OverCap),
     /// The server answered something the driver cannot interpret.
     Protocol(String),
     /// Bad configuration (speedup, connections, op mix, …).
@@ -67,6 +70,9 @@ impl std::fmt::Display for ReplayError {
             ReplayError::Io(e) => write!(f, "trace I/O: {e}"),
             ReplayError::Corrupt { offset, detail } => {
                 write!(f, "corrupt trace at byte {offset}: {detail}")
+            }
+            ReplayError::TooLarge(e) => {
+                write!(f, "frame of {} bytes over the {}-byte cap", e.len, e.cap)
             }
             ReplayError::Protocol(msg) => write!(f, "protocol: {msg}"),
             ReplayError::Config(msg) => write!(f, "config: {msg}"),

@@ -25,7 +25,9 @@ use std::time::{Duration, Instant};
 
 /// State shared between the accept loop and per-connection handlers.
 struct Shared {
-    writer: Mutex<Option<TraceWriter<BufWriter<File>>>>,
+    /// The writer until an append fails, then that error: `shutdown`
+    /// returns it and writes no trailer. `None` once shut down.
+    writer: Mutex<Option<Result<TraceWriter<BufWriter<File>>, ReplayError>>>,
     started: Instant,
     upstream: SocketAddr,
     timeout: Duration,
@@ -59,7 +61,7 @@ impl RecordingProxy {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
-            writer: Mutex::new(Some(writer)),
+            writer: Mutex::new(Some(Ok(writer))),
             started: Instant::now(),
             upstream,
             timeout: Duration::from_secs(30),
@@ -96,7 +98,8 @@ impl RecordingProxy {
     }
 
     /// Stop accepting, seal the trace with its trailer, and return how
-    /// many operations were recorded.
+    /// many operations were recorded — or the first error an append
+    /// hit, in which case the trace is left without its trailer.
     pub fn shutdown(mut self) -> Result<u64, ReplayError> {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.accept_handle.take() {
@@ -109,13 +112,24 @@ impl RecordingProxy {
             .unwrap_or_else(|e| e.into_inner())
             .take();
         match writer {
-            Some(w) => {
-                let count = w.finish()?;
-                Ok(count)
-            }
+            Some(Ok(w)) => w.finish(),
+            Some(Err(e)) => Err(e),
             None => Err(ReplayError::Config(
                 "recording proxy already shut down".to_string(),
             )),
+        }
+    }
+}
+
+impl Shared {
+    /// Append `rec` unless an earlier append failed; a failure replaces
+    /// the writer and ends the recording.
+    fn record(&self, rec: &TraceRecord) {
+        let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(Ok(w)) = guard.as_mut() {
+            if let Err(e) = w.append(rec) {
+                *guard = Some(Err(e));
+            }
         }
     }
 }
@@ -167,10 +181,7 @@ fn handle_conn(downstream: TcpStream, shared: &Shared) {
         if (200..300).contains(&resp.status) {
             if let Some(op) = recognize(&req, &body) {
                 let tenant = req.param("tenant").unwrap_or("default").to_string();
-                let mut guard = shared.writer.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(w) = guard.as_mut() {
-                    let _ = w.append(&TraceRecord { at_us, tenant, op });
-                }
+                shared.record(&TraceRecord { at_us, tenant, op });
             }
         }
         if relay(&mut writer, resp.status, &resp.body).is_err() || !req.keep_alive {
@@ -370,5 +381,42 @@ mod tests {
         let r = req("GET", "/v1/estimate", &[("left", "a"), ("right", "b")]);
         assert_eq!(rebuild_target(&r), "/v1/estimate?left=a&right=b");
         assert_eq!(rebuild_target(&req("GET", "/metrics", &[])), "/metrics");
+    }
+
+    #[test]
+    fn a_refused_append_ends_the_recording_and_shutdown_returns_it() {
+        let out = std::env::temp_dir().join(format!(
+            "dctstream_proxy_refused_{}.dctt",
+            std::process::id()
+        ));
+        // No client connects, so the upstream is never dialled.
+        let proxy = RecordingProxy::start(0, "127.0.0.1:9".parse().unwrap(), &out).unwrap();
+        let small = TraceRecord {
+            at_us: 0,
+            tenant: "t".into(),
+            op: TraceOp::Estimate {
+                left: "a".into(),
+                right: "b".into(),
+                budget: None,
+            },
+        };
+        // A unary ingest row encodes to 20 bytes: one row past the cap.
+        let huge = TraceRecord {
+            at_us: 1,
+            tenant: "t".into(),
+            op: TraceOp::Ingest {
+                stream: "a".into(),
+                rows: vec![(vec![1], 1.0); crate::trace::MAX_FRAME / 20 + 1],
+            },
+        };
+        proxy.shared.record(&small);
+        proxy.shared.record(&huge);
+        proxy.shared.record(&small);
+        let err = proxy.shutdown().unwrap_err();
+        assert!(matches!(err, ReplayError::TooLarge(_)), "{err}");
+        // No trailer: the partial recording cannot pass for a complete one.
+        let read = crate::trace::read_trace(&out);
+        let _ = std::fs::remove_file(&out);
+        assert!(matches!(read, Err(ReplayError::Corrupt { .. })), "{read:?}");
     }
 }

@@ -21,8 +21,11 @@
 //! per stream, sorted by name:
 //!   name_len u64 | name utf-8 | kind u8 | payload_len u64 | payload
 //!   | crc32 u32 over (name | kind | payload)
-//! crc32 u32 over every preceding byte of the file
+//! seal (CRC-32 of every preceding byte of the file)
 //! ```
+//!
+//! Header, seal and CRC are the workspace's shared codec
+//! (`dctstream_obs::frame`; DESIGN.md §16 "On-disk framing").
 //!
 //! Version 1 manifests (no watermark field) and version 2 manifests (no
 //! metrics block) are still read; missing fields are reported as 0 /
@@ -31,14 +34,15 @@
 //! [`crate::recovery::DurableProcessor`]'s cumulative observability
 //! counters (events, WAL appends, checkpoints, repairs, …) so `stats`
 //! survives restarts; it sits before the stream records and is covered by
-//! the whole-file CRC.
+//! the seal.
 //!
-//! Two checksum layers serve different failure modes: the per-stream CRC
-//! localizes corruption ("stream 'x': checksum mismatch"), while the
-//! whole-file CRC catches damage to manifest metadata (event counts,
-//! lengths, names). Every declared length is validated against the actual
-//! buffer before allocation, so a truncated or crafted file yields an
-//! `Err` naming the failing stream or field — never a panic.
+//! The per-stream CRC localizes corruption ("stream 'x': checksum
+//! mismatch"); the seal catches damage to manifest metadata. One walker
+//! reads the layout for both [`StreamProcessor::restore_bytes`], which
+//! decodes every summary, and [`verify_checkpoint_bytes`], which only
+//! collects CRC violations. It bounds every declared length by the bytes
+//! that remain, so damaged input yields an `Err` naming the failing
+//! stream or field — never a panic.
 //!
 //! # Atomicity and recovery semantics
 //!
@@ -52,11 +56,12 @@
 //! bit-identical to an uninterrupted run.
 
 use crate::processor::{StreamProcessor, Summary};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use dctstream_core::persist::{
     kind_label, peek_kind, KIND_AMS, KIND_COSINE, KIND_FAST_AMS, KIND_MULTI, KIND_SKIMMED,
 };
 use dctstream_core::{CosineSynopsis, DctError, MultiDimSynopsis, Result};
+use dctstream_obs::frame::{self, FrameError, Reader};
 use dctstream_sketch::{AmsSketch, FastAmsSketch, SkimmedSketch};
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -80,7 +85,7 @@ const MAX_STREAMS: usize = 1 << 20;
 /// Most persisted metrics a manifest may declare.
 const MAX_METRICS: usize = 1 << 16;
 
-pub use dctstream_core::persist::crc32;
+pub use dctstream_obs::frame::crc32;
 
 impl Summary {
     /// Serialize to the variant's framed binary payload.
@@ -173,14 +178,17 @@ impl StreamProcessor {
         self.flush_all()?;
         let mut names: Vec<&str> = self.stream_names().collect();
         names.sort_unstable();
-        let mut buf = BytesMut::with_capacity(1024);
-        buf.put_slice(MANIFEST_MAGIC);
-        buf.put_u8(MANIFEST_VERSION);
-        buf.put_slice(&[0u8; 3]);
-        buf.put_u64_le(self.events_processed());
-        buf.put_u64_le(self.flush_threshold().unwrap_or(0) as u64);
-        buf.put_u64_le(wal_watermark);
-        buf.put_u64_le(metrics.len() as u64);
+        let mut buf = Vec::with_capacity(1024);
+        frame::put_header(&mut buf, MANIFEST_MAGIC, MANIFEST_VERSION);
+        buf.extend_from_slice(&[0u8; 3]);
+        for field in [
+            self.events_processed(),
+            self.flush_threshold().unwrap_or(0) as u64,
+            wal_watermark,
+            metrics.len() as u64,
+        ] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
         for (name, value) in metrics {
             if name.len() > MAX_NAME_LEN {
                 return Err(DctError::Checkpoint(format!(
@@ -188,29 +196,25 @@ impl StreamProcessor {
                     name.len()
                 )));
             }
-            buf.put_u64_le(name.len() as u64);
-            buf.put_slice(name.as_bytes());
-            buf.put_u64_le(*value);
+            buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            buf.extend_from_slice(name.as_bytes());
+            buf.extend_from_slice(&value.to_le_bytes());
         }
-        buf.put_u64_le(names.len() as u64);
+        buf.extend_from_slice(&(names.len() as u64).to_le_bytes());
         for name in names {
             // invariant: `name` was just produced by stream_names().
             let summary = self.summary(name).expect("name from stream_names");
             let payload = summary.to_bytes();
-            let mut record = BytesMut::with_capacity(name.len() + 1 + payload.len());
-            record.put_slice(name.as_bytes());
-            record.put_u8(summary.kind());
-            record.put_slice(payload.as_slice());
-            buf.put_u64_le(name.len() as u64);
-            buf.put_slice(name.as_bytes());
-            buf.put_u8(summary.kind());
-            buf.put_u64_le(payload.len() as u64);
-            buf.put_slice(payload.as_slice());
-            buf.put_u32_le(crc32(record.as_ref()));
+            buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            buf.extend_from_slice(name.as_bytes());
+            buf.push(summary.kind());
+            buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            buf.extend_from_slice(payload.as_slice());
+            let crc = record_crc(name.as_bytes(), summary.kind(), payload.as_slice());
+            buf.extend_from_slice(&crc.to_le_bytes());
         }
-        let file_crc = crc32(buf.as_ref());
-        buf.put_u32_le(file_crc);
-        Ok(buf.freeze())
+        frame::seal(&mut buf, 0);
+        Ok(Bytes::from(buf))
     }
 
     /// Rebuild a processor from [`Self::checkpoint_bytes`] output.
@@ -232,164 +236,49 @@ impl StreamProcessor {
     /// persisted metrics block (empty for version-1/2 manifests, which
     /// predate it).
     pub fn restore_bytes_with_meta(data: &[u8]) -> Result<(Self, u64, BTreeMap<String, u64>)> {
-        let err = |msg: String| DctError::Checkpoint(msg);
-        if data.len() < 8 + 24 + 4 {
-            return Err(err(format!(
-                "field 'header': manifest truncated to {} bytes",
-                data.len()
-            )));
-        }
-        let mut buf = Bytes::from(data);
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MANIFEST_MAGIC {
-            return Err(err(
-                "field 'magic': not a dctstream checkpoint manifest".into()
-            ));
-        }
-        let version = buf.get_u8();
-        if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
-            return Err(err(format!(
-                "field 'version': unsupported checkpoint version {version}"
-            )));
-        }
-        buf.advance(3); // reserved
-        let fixed_fields = if version >= 2 { 32 } else { 24 };
-        if buf.remaining() < fixed_fields + 4 {
-            return Err(err(format!(
-                "field 'header': version-{version} manifest truncated to {} bytes",
-                data.len()
-            )));
-        }
-        let events = buf.get_u64_le();
-        let threshold = buf.get_u64_le();
-        let wal_watermark = if version >= 2 { buf.get_u64_le() } else { 0 };
+        let mut metrics = BTreeMap::new();
+        let mut streams: HashMap<String, Summary> = HashMap::new();
+        let (events, threshold, watermark) = walk_manifest(
+            data,
+            |name, value| {
+                let name = String::from_utf8(name.to_vec())
+                    .map_err(|_| "metric name is not valid UTF-8".to_string())?;
+                if metrics.insert(name.clone(), value).is_some() {
+                    return Err(format!("duplicate metric name '{name}'"));
+                }
+                Ok(())
+            },
+            |rec| {
+                let name = std::str::from_utf8(rec.name)
+                    .map_err(|_| "stream name is not valid UTF-8".to_string())?;
+                if !rec.crc_ok {
+                    return Err("checksum mismatch".into());
+                }
+                let summary =
+                    Summary::from_bytes(Bytes::from(rec.payload)).map_err(|e| e.to_string())?;
+                if summary.kind() != rec.kind {
+                    return Err(format!(
+                        "manifest kind '{}' disagrees with payload kind '{}'",
+                        kind_label(rec.kind),
+                        summary.kind_name()
+                    ));
+                }
+                if streams.insert(name.to_string(), summary).is_some() {
+                    return Err("duplicate stream name".into());
+                }
+                Ok(())
+            },
+        )
+        .map_err(|f| DctError::Checkpoint(format!("field '{}': {}", f.field, f.detail)))?;
         let flush_threshold = match threshold {
             0 => None,
-            t => Some(
-                usize::try_from(t)
-                    .map_err(|_| err(format!("field 'flush_threshold': implausible value {t}")))?,
-            ),
+            t => Some(usize::try_from(t).map_err(|_| {
+                DctError::Checkpoint(format!("field 'flush_threshold': implausible value {t}"))
+            })?),
         };
-        let mut metrics = BTreeMap::new();
-        if version >= 3 {
-            if buf.remaining() < 8 {
-                return Err(err("field 'metric_count': manifest truncated".into()));
-            }
-            let nmetrics = buf.get_u64_le();
-            let nmetrics = usize::try_from(nmetrics)
-                .ok()
-                .filter(|&n| n <= MAX_METRICS)
-                .ok_or_else(|| {
-                    err(format!(
-                        "field 'metric_count': implausible value {nmetrics}"
-                    ))
-                })?;
-            for i in 0..nmetrics {
-                let metric_err =
-                    |what: &str| err(format!("metric record {i} of {nmetrics}: {what}"));
-                if buf.remaining() < 8 {
-                    return Err(metric_err("truncated before name length"));
-                }
-                let name_len = buf.get_u64_le();
-                let name_len = usize::try_from(name_len)
-                    .ok()
-                    .filter(|&n| n <= MAX_NAME_LEN)
-                    .ok_or_else(|| metric_err(&format!("implausible name length {name_len}")))?;
-                if buf.remaining() < name_len + 8 {
-                    return Err(metric_err("truncated inside name or value"));
-                }
-                let mut name_bytes = vec![0u8; name_len];
-                buf.copy_to_slice(&mut name_bytes);
-                let name = String::from_utf8(name_bytes)
-                    .map_err(|_| metric_err("metric name is not valid UTF-8"))?;
-                let value = buf.get_u64_le();
-                if metrics.insert(name.clone(), value).is_some() {
-                    return Err(err(format!("metric '{name}': duplicate metric name")));
-                }
-            }
-        }
-        if buf.remaining() < 8 {
-            return Err(err("field 'stream_count': manifest truncated".into()));
-        }
-        let nstreams = buf.get_u64_le();
-        let nstreams = usize::try_from(nstreams)
-            .ok()
-            .filter(|&n| n <= MAX_STREAMS)
-            .ok_or_else(|| {
-                err(format!(
-                    "field 'stream_count': implausible value {nstreams}"
-                ))
-            })?;
-
-        let mut streams: HashMap<String, Summary> = HashMap::with_capacity(nstreams);
-        for i in 0..nstreams {
-            let record_err = |what: &str| err(format!("stream record {i} of {nstreams}: {what}"));
-            if buf.remaining() < 8 {
-                return Err(record_err("truncated before name length"));
-            }
-            let name_len = buf.get_u64_le();
-            let name_len = usize::try_from(name_len)
-                .ok()
-                .filter(|&n| n <= MAX_NAME_LEN)
-                .ok_or_else(|| record_err(&format!("implausible name length {name_len}")))?;
-            if buf.remaining() < name_len + 1 + 8 {
-                return Err(record_err("truncated inside name or kind"));
-            }
-            let mut name_bytes = vec![0u8; name_len];
-            buf.copy_to_slice(&mut name_bytes);
-            let name = String::from_utf8(name_bytes)
-                .map_err(|_| record_err("stream name is not valid UTF-8"))?;
-            let kind = buf.get_u8();
-            let payload_len = buf.get_u64_le();
-            let payload_len = usize::try_from(payload_len)
-                .ok()
-                .filter(|&n| n <= buf.remaining())
-                .ok_or_else(|| {
-                    err(format!(
-                        "stream '{name}': payload length {payload_len} exceeds remaining {} bytes",
-                        buf.remaining()
-                    ))
-                })?;
-            let payload = buf.slice(0..payload_len);
-            buf.advance(payload_len);
-            if buf.remaining() < 4 {
-                return Err(err(format!("stream '{name}': truncated before checksum")));
-            }
-            let stored_crc = buf.get_u32_le();
-            let mut record = Vec::with_capacity(name.len() + 1 + payload_len);
-            record.extend_from_slice(name.as_bytes());
-            record.push(kind);
-            record.extend_from_slice(payload.as_slice());
-            if crc32(&record) != stored_crc {
-                return Err(err(format!("stream '{name}': checksum mismatch")));
-            }
-            let summary =
-                Summary::from_bytes(payload).map_err(|e| err(format!("stream '{name}': {e}")))?;
-            if summary.kind() != kind {
-                return Err(err(format!(
-                    "stream '{name}': manifest kind '{}' disagrees with payload kind '{}'",
-                    kind_label(kind),
-                    summary.kind_name()
-                )));
-            }
-            if streams.insert(name.clone(), summary).is_some() {
-                return Err(err(format!("stream '{name}': duplicate stream name")));
-            }
-        }
-        if buf.remaining() != 4 {
-            return Err(err(format!(
-                "field 'file checksum': expected exactly 4 trailing bytes, found {}",
-                buf.remaining()
-            )));
-        }
-        let stored = buf.get_u32_le();
-        if crc32(&data[..data.len() - 4]) != stored {
-            return Err(err("field 'file checksum': mismatch".into()));
-        }
         Ok((
             StreamProcessor::from_restored(streams, flush_threshold, events),
-            wal_watermark,
+            watermark,
             metrics,
         ))
     }
@@ -406,186 +295,194 @@ impl StreamProcessor {
 /// trusted. Used by the integrity scrubber, which must localize damage
 /// to one stream whenever the manifest structure still permits it.
 pub fn verify_checkpoint_bytes(data: &[u8]) -> (usize, Vec<DctError>) {
-    let mut violations = Vec::new();
     let mut checked = 0usize;
-    let structural = |field: &str, detail: String| DctError::IntegrityViolation {
-        stream: None,
-        field: field.into(),
-        artifact: "checkpoint".into(),
-        detail,
-    };
+    let mut violations = Vec::new();
+    let walked = walk_manifest(
+        data,
+        |_, _| Ok(()),
+        |rec| {
+            checked += 1;
+            if !rec.crc_ok {
+                // A damaged name still has well-defined record bounds;
+                // report it lossily so one flipped name byte does not
+                // hide the rest of the manifest.
+                let name = String::from_utf8_lossy(rec.name).into_owned();
+                violations.push(DctError::IntegrityViolation {
+                    detail: format!("stream '{name}': checksum mismatch"),
+                    stream: Some(name),
+                    field: "record crc".into(),
+                    artifact: "checkpoint".into(),
+                });
+            }
+            Ok(())
+        },
+    );
+    if let Err(f) = walked {
+        violations.push(DctError::IntegrityViolation {
+            stream: None,
+            field: f.field.into(),
+            artifact: "checkpoint".into(),
+            detail: f.detail,
+        });
+    }
+    (checked, violations)
+}
+
+/// CRC-32 of a stream record's `name | kind | payload`.
+fn record_crc(name: &[u8], kind: u8, payload: &[u8]) -> u32 {
+    let mut record = Vec::with_capacity(name.len() + 1 + payload.len());
+    record.extend_from_slice(name);
+    record.push(kind);
+    record.extend_from_slice(payload);
+    crc32(&record)
+}
+
+/// Where a manifest walk stopped: the field, and what is wrong with it.
+struct Fault {
+    field: &'static str,
+    detail: String,
+}
+
+fn fault(field: &'static str, detail: impl Into<String>) -> Fault {
+    Fault {
+        field,
+        detail: detail.into(),
+    }
+}
+
+/// A fault in record `i` of the `n` in a block.
+fn fault_at(field: &'static str, i: usize, n: usize, what: String) -> Fault {
+    fault(field, format!("record {i} of {n}: {what}"))
+}
+
+/// One stream record as the walker found it, undecoded.
+struct StreamRecord<'a> {
+    name: &'a [u8],
+    kind: u8,
+    payload: &'a [u8],
+    /// Whether the record's CRC matches `name | kind | payload`.
+    crc_ok: bool,
+}
+
+/// Walk a manifest in file order: header, fixed fields, the metrics
+/// block (each metric handed to `metric`), the stream records (each
+/// handed to `stream`), and last the seal; an `Err` from either callback
+/// names what is wrong with that record. Returns the fixed fields
+/// `(events, flush_threshold, wal_watermark)`. Every declared length is
+/// checked against the bytes that remain before it is used, and the
+/// first fault ends the walk.
+fn walk_manifest<'a>(
+    data: &'a [u8],
+    mut metric: impl FnMut(&'a [u8], u64) -> std::result::Result<(), String>,
+    mut stream: impl FnMut(StreamRecord<'a>) -> std::result::Result<(), String>,
+) -> std::result::Result<(u64, u64, u64), Fault> {
     if data.len() < 8 + 24 + 4 {
-        violations.push(structural(
+        return Err(fault(
             "header",
             format!("manifest truncated to {} bytes", data.len()),
         ));
-        return (checked, violations);
     }
-    let mut buf = Bytes::from(data);
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MANIFEST_MAGIC {
-        violations.push(structural(
-            "magic",
-            "not a dctstream checkpoint manifest".into(),
-        ));
-        return (checked, violations);
-    }
-    let version = buf.get_u8();
-    if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
-        violations.push(structural(
-            "version",
-            format!("unsupported checkpoint version {version}"),
-        ));
-        return (checked, violations);
-    }
-    buf.advance(3); // reserved
+    let version = frame::check_header(
+        data,
+        MANIFEST_MAGIC,
+        MANIFEST_MIN_VERSION..=MANIFEST_VERSION,
+    )
+    .map_err(|e| match e {
+        FrameError::BadVersion(v) => {
+            fault("version", format!("unsupported checkpoint version {v}"))
+        }
+        _ => fault("magic", "not a dctstream checkpoint manifest"),
+    })?;
     let fixed_fields = if version >= 2 { 32 } else { 24 };
-    if buf.remaining() < fixed_fields + 4 {
-        violations.push(structural(
+    let header_short = || {
+        fault(
             "header",
             format!(
                 "version-{version} manifest truncated to {} bytes",
                 data.len()
             ),
-        ));
-        return (checked, violations);
-    }
-    buf.advance(fixed_fields - 8); // events, threshold, (watermark)
-    if version >= 3 {
-        // Skip the metrics block; its bytes are covered by the file CRC.
-        let nmetrics = buf.get_u64_le();
-        let Some(nmetrics) = usize::try_from(nmetrics).ok().filter(|&n| n <= MAX_METRICS) else {
-            violations.push(structural(
-                "metric_count",
-                format!("implausible value {nmetrics}"),
-            ));
-            return (checked, violations);
-        };
-        for i in 0..nmetrics {
-            if buf.remaining() < 8 {
-                violations.push(structural(
-                    "metric records",
-                    format!("record {i} of {nmetrics}: truncated before name length"),
-                ));
-                return (checked, violations);
-            }
-            let name_len = buf.get_u64_le();
-            let Some(name_len) = usize::try_from(name_len)
-                .ok()
-                .filter(|&n| n <= MAX_NAME_LEN)
-            else {
-                violations.push(structural(
-                    "metric records",
-                    format!("record {i} of {nmetrics}: implausible name length {name_len}"),
-                ));
-                return (checked, violations);
-            };
-            if buf.remaining() < name_len + 8 {
-                violations.push(structural(
-                    "metric records",
-                    format!("record {i} of {nmetrics}: truncated inside name or value"),
-                ));
-                return (checked, violations);
-            }
-            buf.advance(name_len + 8);
-        }
-        if buf.remaining() < 8 + 4 {
-            violations.push(structural(
-                "stream_count",
-                "manifest truncated after metrics block".into(),
-            ));
-            return (checked, violations);
-        }
-    }
-    let nstreams = buf.get_u64_le();
-    let Some(nstreams) = usize::try_from(nstreams).ok().filter(|&n| n <= MAX_STREAMS) else {
-        violations.push(structural(
-            "stream_count",
-            format!("implausible value {nstreams}"),
-        ));
-        return (checked, violations);
+        )
     };
-    for i in 0..nstreams {
-        let truncated = |what: &str| {
-            structural(
-                "stream records",
-                format!("record {i} of {nstreams}: {what}"),
-            )
-        };
-        if buf.remaining() < 8 {
-            violations.push(truncated("truncated before name length"));
-            return (checked, violations);
-        }
-        let name_len = buf.get_u64_le();
-        let Some(name_len) = usize::try_from(name_len)
+    if data.len() < 8 + fixed_fields + frame::SEAL_LEN {
+        return Err(header_short());
+    }
+    let mut r = Reader::new(&data[8..]);
+    let events = r.u64().map_err(|_| header_short())?;
+    let threshold = r.u64().map_err(|_| header_short())?;
+    let watermark = if version >= 2 {
+        r.u64().map_err(|_| header_short())?
+    } else {
+        0
+    };
+    let count = |r: &mut Reader<'a>, field: &'static str, cap: usize| {
+        let n = r.u64().map_err(|_| fault(field, "manifest truncated"))?;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= cap)
+            .ok_or_else(|| fault(field, format!("implausible value {n}")))
+    };
+    let name_len = |r: &mut Reader<'a>| {
+        let n = r
+            .u64()
+            .map_err(|_| "truncated before name length".to_string())?;
+        usize::try_from(n)
             .ok()
             .filter(|&n| n <= MAX_NAME_LEN)
-        else {
-            violations.push(truncated(&format!("implausible name length {name_len}")));
-            return (checked, violations);
-        };
-        if buf.remaining() < name_len + 1 + 8 {
-            violations.push(truncated("truncated inside name or kind"));
-            return (checked, violations);
+            .ok_or_else(|| format!("implausible name length {n}"))
+    };
+    if version >= 3 {
+        let nmetrics = count(&mut r, "metric_count", MAX_METRICS)?;
+        for i in 0..nmetrics {
+            let record = |what| fault_at("metric records", i, nmetrics, what);
+            let len = name_len(&mut r).map_err(record)?;
+            let (Ok(name), Ok(value)) = (r.take(len), r.u64()) else {
+                return Err(record("truncated inside name or value".into()));
+            };
+            metric(name, value).map_err(record)?;
         }
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        // A non-UTF-8 name still has well-defined record bounds; verify
-        // the CRC and report lossily so one flipped name byte does not
-        // hide the rest of the manifest.
-        let name = String::from_utf8_lossy(&name_bytes).into_owned();
-        let kind = buf.get_u8();
-        let payload_len = buf.get_u64_le();
-        let Some(payload_len) = usize::try_from(payload_len)
+    }
+    let nstreams = count(&mut r, "stream_count", MAX_STREAMS)?;
+    for i in 0..nstreams {
+        let record = |what| fault_at("stream records", i, nstreams, what);
+        let len = name_len(&mut r).map_err(record)?;
+        let (Ok(name), Ok(kind), Ok(payload_len)) = (r.take(len), r.u8(), r.u64()) else {
+            return Err(record("truncated inside name or kind".into()));
+        };
+        let named = |what: String| {
+            fault(
+                "stream records",
+                format!("stream '{}': {what}", String::from_utf8_lossy(name)),
+            )
+        };
+        let remaining = r.remaining();
+        let payload = usize::try_from(payload_len)
             .ok()
-            .filter(|&n| n <= buf.remaining())
-        else {
-            violations.push(structural(
-                "stream records",
-                format!("stream '{name}': payload length {payload_len} exceeds remaining bytes"),
-            ));
-            return (checked, violations);
-        };
-        let payload = buf.slice(0..payload_len);
-        buf.advance(payload_len);
-        if buf.remaining() < 4 {
-            violations.push(structural(
-                "stream records",
-                format!("stream '{name}': truncated before checksum"),
-            ));
-            return (checked, violations);
-        }
-        let stored_crc = buf.get_u32_le();
-        let mut record = Vec::with_capacity(name_bytes.len() + 1 + payload_len);
-        record.extend_from_slice(&name_bytes);
-        record.push(kind);
-        record.extend_from_slice(payload.as_slice());
-        checked += 1;
-        if crc32(&record) != stored_crc {
-            violations.push(DctError::IntegrityViolation {
-                stream: Some(name.clone()),
-                field: "record crc".into(),
-                artifact: "checkpoint".into(),
-                detail: format!("stream '{name}': checksum mismatch"),
-            });
-        }
+            .and_then(|n| r.take(n).ok())
+            .ok_or_else(|| {
+                named(format!(
+                    "payload length {payload_len} exceeds remaining {remaining} bytes"
+                ))
+            })?;
+        let stored = r
+            .u32()
+            .map_err(|_| named("truncated before checksum".into()))?;
+        let crc_ok = record_crc(name, kind, payload) == stored;
+        stream(StreamRecord {
+            name,
+            kind,
+            payload,
+            crc_ok,
+        })
+        .map_err(named)?;
     }
-    if buf.remaining() != 4 {
-        violations.push(structural(
+    if r.remaining() != frame::SEAL_LEN {
+        return Err(fault(
             "file checksum",
-            format!(
-                "expected exactly 4 trailing bytes, found {}",
-                buf.remaining()
-            ),
+            format!("expected exactly 4 trailing bytes, found {}", r.remaining()),
         ));
-        return (checked, violations);
     }
-    let stored = buf.get_u32_le();
-    if crc32(&data[..data.len() - 4]) != stored {
-        violations.push(structural("file checksum", "mismatch".into()));
-    }
-    (checked, violations)
+    frame::unseal(data).map_err(|_| fault("file checksum", "mismatch"))?;
+    Ok((events, threshold, watermark))
 }
 
 fn io_err(path: &Path, op: &str, e: std::io::Error) -> DctError {
@@ -672,13 +569,6 @@ pub fn read_checkpoint_with_meta(
 mod tests {
     use super::*;
     use dctstream_core::{Domain, Grid};
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard CRC-32/IEEE check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
 
     fn small_processor() -> StreamProcessor {
         let mut p = StreamProcessor::with_flush_threshold(8);

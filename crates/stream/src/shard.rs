@@ -50,8 +50,8 @@ use crate::recovery::{DurableProcessor, RecoveryOptions};
 use crate::ship::{Follower, SegmentShipper, ShipOptions, ShipReport, ShipWatermark};
 use crate::snapshot::{RegistrySnapshot, StreamStats};
 use crate::wal::{DirStorage, WalStorage};
-use dctstream_core::persist::crc32;
 use dctstream_core::{DctError, Result};
+use dctstream_obs::frame::{self, FrameError, Reader, Truncated};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -62,6 +62,8 @@ pub const FLEET_MANIFEST_FILE: &str = "fleet.dctf";
 pub const FLEET_MAGIC: &[u8; 4] = b"DCTF";
 /// Current fleet manifest format version.
 pub const FLEET_VERSION: u8 = 1;
+/// Smallest shard entry: id, epoch, and two empty directory names.
+const SHARD_ENTRY_MIN_LEN: usize = 4 + 8 + 2 + 2;
 /// The retention-pin consumer id a shard registers for its follower.
 const FOLLOWER_PIN: &str = "follower";
 
@@ -98,12 +100,11 @@ pub struct FleetManifest {
 }
 
 impl FleetManifest {
-    /// Serialize: magic, version, shard count, per-shard fields, CRC-32
-    /// of everything preceding.
+    /// Serialize: magic, version, shard count, per-shard fields, sealed
+    /// with a CRC-32 of everything preceding.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 * self.shards.len() + 16);
-        buf.extend_from_slice(FLEET_MAGIC);
-        buf.push(FLEET_VERSION);
+        frame::put_header(&mut buf, FLEET_MAGIC, FLEET_VERSION);
         buf.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
         for s in &self.shards {
             buf.extend_from_slice(&s.id.to_le_bytes());
@@ -114,47 +115,42 @@ impl FleetManifest {
                 buf.extend_from_slice(b);
             }
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        frame::seal(&mut buf, 0);
         buf
     }
 
-    /// Parse and CRC-verify a serialized manifest.
+    /// Parse and CRC-verify a serialized manifest. The seal is checked
+    /// before the magic; the shard count is bounded by the bytes that
+    /// remain, and bytes past the last entry are rejected.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
         let err = |d: &str| DctError::Checkpoint(format!("fleet manifest: {d}"));
         if data.len() < 13 {
             return Err(err("truncated"));
         }
-        let (body, tail) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
-        if crc32(body) != stored {
-            return Err(err("checksum mismatch"));
+        let body = frame::unseal(data).map_err(|_| err("checksum mismatch"))?;
+        frame::check_header(body, FLEET_MAGIC, FLEET_VERSION..=FLEET_VERSION).map_err(
+            |e| match e {
+                FrameError::BadVersion(v) => err(&format!("unsupported version {v}")),
+                _ => err("bad magic"),
+            },
+        )?;
+        let mut r = Reader::new(&body[5..]);
+        let truncated = |_: Truncated| err("truncated shard entry");
+        let count = r.u32().map_err(truncated)? as usize;
+        if count > r.remaining() / SHARD_ENTRY_MIN_LEN {
+            return Err(err(&format!(
+                "{count} shards cannot fit in {} bytes",
+                r.remaining()
+            )));
         }
-        if &body[0..4] != FLEET_MAGIC {
-            return Err(err("bad magic"));
-        }
-        if body[4] != FLEET_VERSION {
-            return Err(err(&format!("unsupported version {}", body[4])));
-        }
-        let count = u32::from_le_bytes(body[5..9].try_into().expect("4 bytes")) as usize;
-        let mut at = 9usize;
         let mut shards = Vec::with_capacity(count);
-        let take = |n: usize, at: &mut usize| -> Result<&[u8]> {
-            let end = at.checked_add(n).ok_or_else(|| err("overflow"))?;
-            if end > body.len() {
-                return Err(err("truncated shard entry"));
-            }
-            let s = &body[*at..end];
-            *at = end;
-            Ok(s)
-        };
         for _ in 0..count {
-            let id = u32::from_le_bytes(take(4, &mut at)?.try_into().expect("4 bytes"));
-            let epoch = u64::from_le_bytes(take(8, &mut at)?.try_into().expect("8 bytes"));
+            let id = r.u32().map_err(truncated)?;
+            let epoch = r.u64().map_err(truncated)?;
             let mut dirs = [String::new(), String::new()];
             for dir in dirs.iter_mut() {
-                let len = u16::from_le_bytes(take(2, &mut at)?.try_into().expect("2 bytes"));
-                *dir = String::from_utf8(take(len as usize, &mut at)?.to_vec())
+                let len = r.u16().map_err(truncated)?;
+                *dir = String::from_utf8(r.take(len as usize).map_err(truncated)?.to_vec())
                     .map_err(|_| err("non-utf8 directory name"))?;
             }
             let [primary_dir, follower_dir] = dirs;
@@ -164,6 +160,12 @@ impl FleetManifest {
                 primary_dir,
                 follower_dir,
             });
+        }
+        if r.remaining() != 0 {
+            return Err(err(&format!(
+                "{} trailing bytes after the last shard entry",
+                r.remaining()
+            )));
         }
         Ok(FleetManifest { shards })
     }
@@ -880,6 +882,36 @@ mod tests {
         bad[10] ^= 0xff;
         assert!(FleetManifest::from_bytes(&bad).is_err());
         assert!(FleetManifest::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    /// A CRC-valid manifest's header and shard count, then `rest`, sealed.
+    fn crafted_manifest(count: u32, rest: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        frame::put_header(&mut buf, FLEET_MAGIC, FLEET_VERSION);
+        buf.extend_from_slice(&count.to_le_bytes());
+        buf.extend_from_slice(rest);
+        frame::seal(&mut buf, 0);
+        buf
+    }
+
+    #[test]
+    fn huge_shard_count_is_an_error_not_an_allocation() {
+        // Regression: `Vec::with_capacity(u32::MAX)` of 64-byte entries
+        // aborted the process before the first entry was read.
+        let crafted = crafted_manifest(u32::MAX, &[0u8; 16]);
+        let err = FleetManifest::from_bytes(&crafted).unwrap_err();
+        assert!(err.to_string().contains("cannot fit"), "{err}");
+        // One zero-length-name entry fits 16 bytes exactly.
+        let one = FleetManifest::from_bytes(&crafted_manifest(1, &[0u8; 16])).unwrap();
+        assert_eq!(one.shards.len(), 1);
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_last_entry_are_rejected() {
+        let err = FleetManifest::from_bytes(&crafted_manifest(1, &[0u8; 17])).unwrap_err();
+        assert!(err.to_string().contains("1 trailing bytes"), "{err}");
+        let err = FleetManifest::from_bytes(&crafted_manifest(0, &[7])).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]

@@ -17,38 +17,23 @@
 //!
 //! ```text
 //! magic "DCTW" (4) | version u8 | reserved (3) | first_seq u64 le
-//! | hcrc u32 le  (CRC-32 of the preceding 16 bytes)
+//! | seal (CRC-32 of the preceding 16 bytes)
 //! ```
 //!
-//! followed by frames:
-//!
-//! ```text
-//! len u32 le | lcrc u32 le (CRC-32 of the 4 len bytes)
-//! | body (len bytes) | bcrc u32 le (CRC-32 of the body)
-//! ```
-//!
-//! The body is a [`WalRecord`]: a one-byte kind, the stream name, and
-//! the operation payload (see [`WalRecord::encode`]).
+//! followed by record frames capped at [`MAX_RECORD_LEN`]. Header, seal
+//! and frame are the workspace's shared codec (`dctstream_obs::frame`;
+//! DESIGN.md §16 "On-disk framing"). A frame's body is a [`WalRecord`]:
+//! a one-byte kind, the stream name, and the operation payload (see
+//! [`WalRecord::encode`]).
 //!
 //! # Torn tail vs. interior corruption
 //!
-//! Appends write a frame's bytes in order, so a crash mid-write leaves a
-//! *prefix* of the final frame — never scrambled interior bytes. Replay
-//! therefore distinguishes two failure classes:
-//!
-//! - an **incomplete frame at the end of the newest segment** is a torn
-//!   tail: it is truncated away (the events it held were never
-//!   acknowledged as synced) and recovery proceeds;
-//! - **anything else** — checksum mismatch on a fully-present frame, a
-//!   corrupt length field (caught by `lcrc`), an incomplete frame in a
-//!   non-final segment, a sequence gap between segments — is genuine
-//!   corruption and replay fails with [`DctError::Wal`] naming the
-//!   segment, byte offset, and (when the record's header survives) the
-//!   stream.
-//!
-//! The `lcrc` exists precisely to make that split sound: without it, a
-//! bit flip in a length field would masquerade as a huge frame reaching
-//! past end-of-file and be silently "truncated" as a torn tail.
+//! A torn frame (what a crash mid-write leaves) at the end of the newest
+//! segment is a torn tail: it is truncated away — its events were never
+//! acknowledged as synced — and recovery proceeds. Any other damage,
+//! including a sequence gap between segments, fails replay with
+//! [`DctError::Wal`] naming the segment, byte offset, and (when the
+//! record's header survives) the stream.
 //!
 //! # Sync policy and rotation
 //!
@@ -67,8 +52,8 @@
 
 use crate::event::{StreamEvent, Tuple};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dctstream_core::persist::crc32;
 use dctstream_core::{DctError, Result};
+use dctstream_obs::frame::{self, FrameError, Reader, Record};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fs;
@@ -84,8 +69,6 @@ pub const SEGMENT_MAGIC: &[u8; 4] = b"DCTW";
 pub const SEGMENT_VERSION: u8 = 1;
 /// Byte length of a segment header.
 pub const SEGMENT_HEADER_LEN: usize = 20;
-/// Byte overhead of a frame around its body (len + lcrc + bcrc).
-pub const FRAME_OVERHEAD: usize = 12;
 /// Largest accepted record body, bounding a crafted frame's allocation.
 pub const MAX_RECORD_LEN: usize = 1 << 24;
 
@@ -834,14 +817,14 @@ fn wal_err(
     }
 }
 
-fn encode_segment_header(first_seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
-    let mut h = [0u8; SEGMENT_HEADER_LEN];
-    h[0..4].copy_from_slice(SEGMENT_MAGIC);
-    h[4] = SEGMENT_VERSION;
-    h[8..16].copy_from_slice(&first_seq.to_le_bytes());
-    let crc = crc32(&h[0..16]);
-    h[16..20].copy_from_slice(&crc.to_le_bytes());
-    h
+/// Append a segment header: magic, version, reserved bytes, and the
+/// first record's sequence, sealed.
+fn put_segment_header(out: &mut Vec<u8>, first_seq: u64) {
+    let start = out.len();
+    frame::put_header(out, SEGMENT_MAGIC, SEGMENT_VERSION);
+    out.extend_from_slice(&[0u8; 3]);
+    out.extend_from_slice(&first_seq.to_le_bytes());
+    frame::seal(out, start);
 }
 
 /// What a read-only walk over a store's segments found: replayable
@@ -1170,18 +1153,24 @@ impl<S: WalStorage> Wal<S> {
     fn append_buffered(&mut self, record: &WalRecord) -> Result<(u64, usize)> {
         self.check_wedged()?;
         let body = record.encode();
-        if body.len() > MAX_RECORD_LEN {
-            return Err(wal_err(
-                self.segment.as_deref().unwrap_or("<none>"),
-                self.segment_len,
+        let oversize = |wal: &Self| {
+            let detail = format!(
+                "record body of {} bytes exceeds limit {MAX_RECORD_LEN}",
+                body.len()
+            );
+            let segment = wal.segment.as_deref().unwrap_or("<none>");
+            wal_err(
+                segment,
+                wal.segment_len,
                 Some(record.stream.clone()),
-                format!(
-                    "record body of {} bytes exceeds limit {MAX_RECORD_LEN}",
-                    body.len()
-                ),
-            ));
+                detail,
+            )
+        };
+        // Refuse before rotating, so an oversize record leaves no trace.
+        if body.len() > MAX_RECORD_LEN {
+            return Err(oversize(self));
         }
-        let frame_len = body.len() + FRAME_OVERHEAD;
+        let frame_len = body.len() + frame::RECORD_OVERHEAD;
         // Rotate when the active segment (with its buffered bytes) would
         // overflow — but never leave a segment empty.
         if let Some(name) = self.segment.clone() {
@@ -1203,18 +1192,12 @@ impl<S: WalStorage> Wal<S> {
         }
         if self.segment.is_none() {
             let name = segment_name(self.next_seq);
-            self.buffer
-                .extend_from_slice(&encode_segment_header(self.next_seq));
+            put_segment_header(&mut self.buffer, self.next_seq);
             self.segment = Some(name);
             self.segment_len = SEGMENT_HEADER_LEN as u64;
         }
-        let len_bytes = (body.len() as u32).to_le_bytes();
-        self.buffer.extend_from_slice(&len_bytes);
-        self.buffer
-            .extend_from_slice(&crc32(&len_bytes).to_le_bytes());
-        self.buffer.extend_from_slice(body.as_slice());
-        self.buffer
-            .extend_from_slice(&crc32(body.as_slice()).to_le_bytes());
+        frame::put_record(&mut self.buffer, body.as_slice(), MAX_RECORD_LEN)
+            .map_err(|_| oversize(self))?;
         self.segment_len += frame_len as u64;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -1677,16 +1660,17 @@ struct SegmentScan {
 /// earlier segments were sealed by a later segment's existence, so any
 /// damage in them is corruption.
 fn scan_segment(name: &str, first_seq: u64, data: &[u8], is_last: bool) -> Result<SegmentScan> {
-    let torn = |offset: usize| SegmentScan {
+    let mut scan = SegmentScan {
         records: Vec::new(),
-        torn: Some((offset as u64, (data.len() - offset) as u64)),
+        torn: None,
     };
     // Header.
     if data.len() < SEGMENT_HEADER_LEN {
         if is_last {
             // A crash during segment creation: nothing was ever synced
             // from this segment, drop it entirely.
-            return Ok(torn(0));
+            scan.torn = Some((0, data.len() as u64));
+            return Ok(scan);
         }
         return Err(wal_err(
             name,
@@ -1695,22 +1679,19 @@ fn scan_segment(name: &str, first_seq: u64, data: &[u8], is_last: bool) -> Resul
             format!("segment header truncated to {} bytes", data.len()),
         ));
     }
-    if &data[0..4] != SEGMENT_MAGIC {
-        return Err(wal_err(name, 0, None, "bad segment magic"));
-    }
-    if data[4] != SEGMENT_VERSION {
-        return Err(wal_err(
-            name,
-            4,
-            None,
-            format!("unsupported segment version {}", data[4]),
-        ));
-    }
-    let hcrc = u32::from_le_bytes(data[16..20].try_into().expect("fixed slice"));
-    if crc32(&data[0..16]) != hcrc {
-        return Err(wal_err(name, 0, None, "segment header checksum mismatch"));
-    }
-    let header_seq = u64::from_le_bytes(data[8..16].try_into().expect("fixed slice"));
+    frame::check_header(data, SEGMENT_MAGIC, SEGMENT_VERSION..=SEGMENT_VERSION).map_err(
+        |e| match e {
+            FrameError::BadVersion(v) => {
+                wal_err(name, 4, None, format!("unsupported segment version {v}"))
+            }
+            _ => wal_err(name, 0, None, "bad segment magic"),
+        },
+    )?;
+    let header = frame::unseal(&data[..SEGMENT_HEADER_LEN])
+        .map_err(|_| wal_err(name, 0, None, "segment header checksum mismatch"))?;
+    let header_seq = Reader::new(&header[8..])
+        .u64()
+        .map_err(|_| wal_err(name, 8, None, "segment header truncated"))?;
     if header_seq != first_seq {
         return Err(wal_err(
             name,
@@ -1720,95 +1701,50 @@ fn scan_segment(name: &str, first_seq: u64, data: &[u8], is_last: bool) -> Resul
         ));
     }
 
-    let mut records = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN;
     let mut seq = first_seq;
     loop {
-        let remaining = data.len() - offset;
-        if remaining == 0 {
-            return Ok(SegmentScan {
-                records,
-                torn: None,
-            });
-        }
-        if remaining < 8 {
-            // A frame prefix shorter than its length fields: only a torn
-            // write can produce this at the tail.
-            if is_last {
-                let mut s = torn(offset);
-                s.records = records;
-                return Ok(s);
+        let at = offset as u64;
+        let fail = |stream, detail: String| Err(wal_err(name, at, stream, detail));
+        let body = match frame::read_record(&data[offset..], MAX_RECORD_LEN) {
+            Record::Body(body) => body,
+            Record::End => return Ok(scan),
+            // Only a write cut short leaves a frame prefix, and only at
+            // the end of the newest segment.
+            Record::Torn if is_last => {
+                scan.torn = Some((at, (data.len() - offset) as u64));
+                return Ok(scan);
             }
-            return Err(wal_err(
-                name,
-                offset as u64,
-                None,
-                format!("frame header truncated ({remaining} bytes) in a sealed segment"),
-            ));
-        }
-        let len_bytes = &data[offset..offset + 4];
-        let lcrc = u32::from_le_bytes(data[offset + 4..offset + 8].try_into().expect("fixed"));
-        if crc32(len_bytes) != lcrc {
+            Record::Torn => {
+                let left = data.len() - offset;
+                return fail(
+                    None,
+                    format!("frame truncated ({left} bytes) in a sealed segment"),
+                );
+            }
             // Length fields are written before any body byte, so a torn
             // write cannot corrupt them — this is interior damage.
-            return Err(wal_err(
-                name,
-                offset as u64,
-                None,
-                "frame length checksum mismatch",
-            ));
-        }
-        let body_len = u32::from_le_bytes(len_bytes.try_into().expect("fixed")) as usize;
-        if body_len > MAX_RECORD_LEN {
-            return Err(wal_err(
-                name,
-                offset as u64,
-                None,
-                format!("frame declares implausible body length {body_len}"),
-            ));
-        }
-        if remaining < FRAME_OVERHEAD + body_len {
-            if is_last {
-                let mut s = torn(offset);
-                s.records = records;
-                return Ok(s);
+            Record::LenCrc => return fail(None, "frame length checksum mismatch".into()),
+            Record::OverCap(len) => {
+                return fail(
+                    None,
+                    format!("frame declares implausible body length {len}"),
+                )
             }
-            return Err(wal_err(
-                name,
-                offset as u64,
-                None,
-                "frame truncated in a sealed segment",
-            ));
-        }
-        let body = &data[offset + 8..offset + 8 + body_len];
-        let bcrc = u32::from_le_bytes(
-            data[offset + 8 + body_len..offset + FRAME_OVERHEAD + body_len]
-                .try_into()
-                .expect("fixed"),
-        );
-        if crc32(body) != bcrc {
             // The whole frame is present, so it was fully written — a
             // mismatch is corruption, not tearing. Name the stream when
             // the body still decodes far enough to recover it.
-            let stream = WalRecord::decode(body).map(|r| r.stream).ok();
-            return Err(wal_err(
-                name,
-                offset as u64,
-                stream,
-                format!("record {seq}: body checksum mismatch"),
-            ));
-        }
+            Record::BodyCrc(body) => {
+                let stream = WalRecord::decode(body).map(|r| r.stream).ok();
+                return fail(stream, format!("record {seq}: body checksum mismatch"));
+            }
+        };
         let record = WalRecord::decode(body).map_err(|(stream, detail)| {
-            wal_err(
-                name,
-                offset as u64,
-                stream,
-                format!("record {seq}: {detail}"),
-            )
+            wal_err(name, at, stream, format!("record {seq}: {detail}"))
         })?;
-        records.push((seq, record));
+        scan.records.push((seq, record));
         seq += 1;
-        offset += FRAME_OVERHEAD + body_len;
+        offset += frame::RECORD_OVERHEAD + body.len();
     }
 }
 
@@ -2006,7 +1942,9 @@ mod tests {
         // Crash mid-header of the next segment: only 5 of 20 bytes land.
         let name = segment_name(4);
         let mut files = mem.snapshot();
-        files.insert(name.clone(), encode_segment_header(4)[..5].to_vec());
+        let mut header = Vec::new();
+        put_segment_header(&mut header, 4);
+        files.insert(name.clone(), header[..5].to_vec());
         mem.restore(files);
         let (mut wal2, out) = Wal::open(mem.clone(), manual_opts(), 3).unwrap();
         let torn = out.torn_tail.expect("header was torn");
@@ -2034,7 +1972,7 @@ mod tests {
         let mut files = mem.snapshot();
         // Flip a byte inside the SECOND frame's body (interior, not tail).
         let body_len = rec("victim", 0).encode().len();
-        let second_frame_body = SEGMENT_HEADER_LEN + (FRAME_OVERHEAD + body_len) + 8 + 2;
+        let second_frame_body = SEGMENT_HEADER_LEN + (frame::RECORD_OVERHEAD + body_len) + 8 + 2;
         files.get_mut(&name).unwrap()[second_frame_body] ^= 0xFF;
         mem.restore(files);
         let e = Wal::open(mem, manual_opts(), 0).unwrap_err();
@@ -2045,7 +1983,7 @@ mod tests {
                 assert_eq!(segment, name);
                 assert_eq!(
                     offset as usize,
-                    SEGMENT_HEADER_LEN + FRAME_OVERHEAD + body_len
+                    SEGMENT_HEADER_LEN + frame::RECORD_OVERHEAD + body_len
                 );
             }
             other => panic!("expected Wal error, got {other:?}"),
