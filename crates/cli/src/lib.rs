@@ -30,14 +30,15 @@
 #![forbid(unsafe_code)]
 
 use bytes::Bytes;
+use dctstream_core::persist::{peek_kind, KIND_COSINE};
 use dctstream_core::{
     estimate_band_join, estimate_chain_join, estimate_equi_join, ChainLink, CosineSynopsis,
     DctError, Domain, Grid, MultiDimSynopsis,
 };
 use dctstream_intake::{
-    probe as intake_probe, run as intake_run, Column, ColumnType, CountSink, DurableSink,
-    IntakeError, IntakeOptions, IntakeReport, MultiSink, ProbeOptions, RejectCause, RejectLedger,
-    RowSink, Schema, SinkError,
+    probe as intake_probe, run as intake_run, Column, ColumnType, CosineSink, CountSink,
+    DurableSink, IntakeError, IntakeOptions, IntakeReport, MultiSink, ProbeOptions, RejectLedger,
+    RowSink, Schema,
 };
 use dctstream_stream::{
     read_checkpoint, write_checkpoint, DurableProcessor, FleetOptions, HealthCause, ParallelIngest,
@@ -152,7 +153,7 @@ pub enum Command {
         out: PathBuf,
         /// Skip the first line.
         skip_header: bool,
-        /// Ingestion worker threads (1 = serial per-tuple path).
+        /// Worker threads for the one coalesced flush (1 = serial).
         threads: usize,
         /// Route every tuple through a write-ahead-logged registry in
         /// this directory (crash-durable ingestion; serial only).
@@ -467,8 +468,10 @@ pub fn usage() -> &'static str {
        fleet-status  DIR\n\
        fleet-ship    DIR\n\
        fleet-promote DIR --shard I\n\
-     --threads N runs ingestion/merging on N shard-and-merge worker\n\
-     threads (exact up to floating-point rounding; N=1 is the serial path)\n\
+     build coalesces accepted rows into one net weight per value and\n\
+     applies them in one flush; --threads N splits that flush (and merge's\n\
+     combining) across N shard-and-merge worker threads (exact up to\n\
+     floating-point rounding; N=1 is the serial path)\n\
      probe infers a typed .schema (int/float/bool/text columns, observed\n\
      domains, header detection) from the first N rows; verify checks a\n\
      file against a schema and reports every reject with row/column/cause\n\
@@ -484,7 +487,8 @@ pub fn usage() -> &'static str {
      checkpoint bundles summary files into one checksummed manifest;\n\
      restore validates it and reports (or --extract's) every stream\n\
      --wal-dir DIR (build, checkpoint) write-ahead logs every event into\n\
-     DIR so a crash mid-ingest loses nothing past the last synced record;\n\
+     DIR so a crash mid-ingest loses nothing past the last synced record\n\
+     (build --wal-dir writes the same bytes as the plain serial build);\n\
      wal-replay recovers DIR and reports (or --checkpoint's) the result;\n\
      health reports each stream's supervisor state, scrub audits live\n\
      summaries and durable checksums (demoting damaged streams), repair\n\
@@ -996,12 +1000,14 @@ pub enum AnySynopsis {
     Multi(MultiDimSynopsis),
 }
 
-/// Load and decode a synopsis file.
+/// Load and decode a synopsis file, dispatching on its kind byte so a
+/// damaged file reports its own decoder's error.
 pub fn load_synopsis(path: &Path) -> CliResult<AnySynopsis> {
     let raw = Bytes::from(fs::read(path)?);
-    match CosineSynopsis::from_bytes(raw.clone()) {
-        Ok(s) => Ok(AnySynopsis::Cosine(s)),
-        Err(_) => Ok(AnySynopsis::Multi(MultiDimSynopsis::from_bytes(raw)?)),
+    if peek_kind(raw.as_slice())? == KIND_COSINE {
+        Ok(AnySynopsis::Cosine(CosineSynopsis::from_bytes(raw)?))
+    } else {
+        Ok(AnySynopsis::Multi(MultiDimSynopsis::from_bytes(raw)?))
     }
 }
 
@@ -1157,47 +1163,6 @@ impl TypedInput {
     }
 }
 
-/// The `build` sink: per-row updates at `--threads 1`, which keeps a
-/// `--wal-dir` build byte-identical to the plain one, and one
-/// whole-input parallel flush otherwise.
-struct BuildSink<'a> {
-    syn: &'a mut CosineSynopsis,
-    threads: usize,
-    target: usize,
-    batch: Vec<(i64, f64)>,
-}
-
-impl RowSink for BuildSink<'_> {
-    fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
-        let v = values[0];
-        let d = self.syn.domain();
-        if !d.contains(v) {
-            // Pre-check so one stray row is a ledger reject, not a
-            // whole-batch failure at flush time.
-            return Err(SinkError::Reject(RejectCause::OutOfDomain {
-                column: self.target,
-                value: v,
-                lo: d.lo(),
-                hi: d.hi(),
-            }));
-        }
-        self.batch.push((v, weight));
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<(), DctError> {
-        if self.threads > 1 {
-            ParallelIngest::with_threads(self.threads).flush_cosine(self.syn, &self.batch)?;
-        } else {
-            for &(v, w) in &self.batch {
-                self.syn.update(v, w)?;
-            }
-        }
-        self.batch.clear();
-        Ok(())
-    }
-}
-
 /// Execute a command, returning the text to print.
 pub fn run(cmd: Command) -> CliResult<String> {
     match cmd {
@@ -1217,12 +1182,7 @@ pub fn run(cmd: Command) -> CliResult<String> {
             let typed = TypedInput::open(&input, &intake, skip_header, vec![column])?;
             let (report, wal_note) = match wal_dir {
                 None => {
-                    let report = typed.run(&mut BuildSink {
-                        syn: &mut syn,
-                        threads,
-                        target: column,
-                        batch: Vec::new(),
-                    })?;
+                    let report = typed.run(&mut CosineSink::new(&mut syn, threads, &[column]))?;
                     if report.quarantined.is_some() {
                         return Err(CliError::Quarantined(report.render()));
                     }
@@ -1250,6 +1210,12 @@ pub fn run(cmd: Command) -> CliResult<String> {
                         )));
                     }
                     dp.register(name.clone(), Summary::Cosine(syn))?;
+                    // Every row is logged as it arrives, but the registry
+                    // coalesces them and applies them once, at the
+                    // checkpoint: the same batch, in the same order, that
+                    // the plain build's `CosineSink` flushes.
+                    let mode = dp.processor().flush_threshold();
+                    dp.processor_mut().set_flush_threshold(Some(usize::MAX))?;
                     let report = typed.run(&mut DurableSink::new(&mut dp, &*name, &[column]))?;
                     if report.quarantined.is_some() {
                         dp.quarantine_stream(
@@ -1266,6 +1232,10 @@ pub fn run(cmd: Command) -> CliResult<String> {
                             report.render()
                         )));
                     }
+                    // Restore the registry's own mode, so the manifest
+                    // does not hand a buffered registry to a later
+                    // `serve` or `wal-replay`.
+                    dp.processor_mut().set_flush_threshold(mode)?;
                     dp.checkpoint()?;
                     let s = dp
                         .processor()
@@ -2713,6 +2683,69 @@ mod tests {
         .unwrap();
         assert!(out.contains("orders: cosine, 5 tuple(s)"), "{out}");
         assert!(out.contains("checkpointed at watermark"), "{out}");
+    }
+
+    #[test]
+    fn durable_build_matches_plain_and_leaves_an_unbuffered_registry() {
+        // Duplicate-heavy: 20k rows over 97 values.
+        let csv = tmp("wal_dupes.csv");
+        let rows: String = (0..20_000u64)
+            .map(|i| format!("{}\n", (i * i) % 97 + i % 3))
+            .collect();
+        fs::write(&csv, rows).unwrap();
+        let wal = tmp("wal_dupes_dir");
+        let _ = fs::remove_dir_all(&wal);
+        let (plain, durable) = (tmp("wal_dupes_plain.dcts"), tmp("wal_dupes.dcts"));
+        let build = format!(
+            "build --input {} --column 0 --domain 0:127 -m 64",
+            csv.display()
+        );
+        cli(&format!("{build} --threads 1 --out {}", plain.display())).unwrap();
+        let out = cli(&format!(
+            "{build} --wal-dir {} --out {}",
+            wal.display(),
+            durable.display()
+        ))
+        .unwrap();
+        assert!(out.contains("20000 tuples"), "{out}");
+        assert_eq!(fs::read(&plain).unwrap(), fs::read(&durable).unwrap());
+
+        // The build buffered its rows, but the manifest it checkpointed
+        // records an unbuffered registry.
+        let (dp, report) = DurableProcessor::open(&wal).unwrap();
+        assert_eq!(report.replayed, 0);
+        assert_eq!(dp.processor().flush_threshold(), None);
+    }
+
+    #[test]
+    fn durable_build_rejects_out_of_domain_rows_before_logging_them() {
+        let csv = tmp("wal_ood.csv");
+        fs::write(&csv, "1\n12\n3\n").unwrap();
+        let wal = tmp("wal_ood_dir");
+        let _ = fs::remove_dir_all(&wal);
+        let out = cli(&format!(
+            "build --input {} --column 0 --domain 0:9 -m 4 --wal-dir {} --out {}",
+            csv.display(),
+            wal.display(),
+            tmp("wal_ood.dcts").display()
+        ))
+        .unwrap();
+        assert!(out.contains("2 tuples (1 rejected)"), "{out}");
+        assert!(out.contains("out-of-domain"), "{out}");
+    }
+
+    #[test]
+    fn info_reports_the_cosine_decoder_error() {
+        let mut s = CosineSynopsis::new(Domain::new(0, 9), Grid::Midpoint, 4).unwrap();
+        s.insert(3).unwrap();
+        let mut bytes = s.to_bytes().to_vec();
+        let n = bytes.len();
+        bytes[n - 8..].copy_from_slice(&f64::NAN.to_le_bytes());
+        let path = tmp("nan_sum.dcts");
+        fs::write(&path, bytes).unwrap();
+        let e = run(Command::Info { path }).unwrap_err().to_string();
+        assert!(e.contains("non-finite float"), "{e}");
+        assert!(!e.contains("kind mismatch"), "{e}");
     }
 
     #[test]

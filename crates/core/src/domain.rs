@@ -34,11 +34,15 @@ pub enum Grid {
 
 impl Grid {
     /// Normalized position of zero-based index `i` within an `n`-value domain.
+    ///
+    /// Computed in `f64`, so no `n` overflows: `2 * n` in `usize` wraps to
+    /// zero at `n = 2^63`. Every term is exact below `2^52` values, so the
+    /// result there equals the integer formula bit for bit.
     #[inline]
     pub fn position(self, i: usize, n: usize) -> f64 {
         debug_assert!(i < n);
         match self {
-            Grid::Midpoint => (2 * i + 1) as f64 / (2 * n) as f64,
+            Grid::Midpoint => (2.0 * i as f64 + 1.0) / (2.0 * n as f64),
             Grid::Endpoint => {
                 if n <= 1 {
                     0.0
@@ -204,6 +208,28 @@ mod tests {
         assert_eq!(d.index_of(i64::MIN), Some(0));
         assert_eq!(d.index_of(i64::MIN + 7), Some(7));
         assert_eq!(d.index_of(i64::MAX - 1), Some(usize::MAX - 1));
+    }
+
+    #[test]
+    fn midpoint_position_matches_the_integer_formula_and_never_overflows() {
+        // Bit-identical to `(2i + 1) as f64 / (2n) as f64` wherever that
+        // formula is exact, the whole range below 2^52 values.
+        for n in [1usize, 2, 3, 5, 1000, 65_536, (1 << 40) + 7, (1 << 52) - 1] {
+            for i in [0, 1, n / 3, n / 2, n - 1] {
+                if i < n {
+                    let old = (2 * i + 1) as f64 / (2 * n) as f64;
+                    assert_eq!(Grid::Midpoint.position(i, n).to_bits(), old.to_bits());
+                }
+            }
+        }
+        // At n = 2^63 the old `2 * n` wrapped to zero (position = inf).
+        let n = 1usize << 63;
+        for i in [0, 1, n / 2, n - 1] {
+            let x = Grid::Midpoint.position(i, n);
+            assert!((0.0..=1.0).contains(&x), "position({i}, 2^63) = {x}");
+        }
+        let x = Grid::Midpoint.position(usize::MAX - 1, usize::MAX);
+        assert!((0.0..=1.0).contains(&x), "{x}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::basis::fill_phi;
 use crate::domain::{Domain, Grid};
 use crate::error::{DctError, Result};
-use crate::synopsis::CosineSynopsis;
+use crate::synopsis::{domain_size, CosineSynopsis};
 use crate::triangular::TriangularIndex;
 
 /// Incrementally maintained triangular-truncated cosine series of a
@@ -52,7 +52,10 @@ impl MultiDimSynopsis {
                 "at least one attribute domain is required".into(),
             ));
         }
-        let max_n = domains.iter().map(Domain::size).max().unwrap();
+        let mut max_n = 0;
+        for d in &domains {
+            max_n = max_n.max(domain_size(d)?);
+        }
         let m = m.min(max_n);
         let index = TriangularIndex::new(m, domains.len())?;
         let len = index.len();

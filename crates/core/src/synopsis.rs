@@ -21,6 +21,18 @@ use crate::basis::{accumulate_phi, accumulate_phi_block, fill_phi};
 use crate::domain::{Domain, Grid};
 use crate::error::{DctError, Result};
 
+/// The size of `domain`, or an error naming it when it is wider than
+/// `usize::MAX` (only the full `i64` range is).
+pub(crate) fn domain_size(domain: &Domain) -> Result<usize> {
+    domain.try_size().ok_or_else(|| {
+        DctError::InvalidParameter(format!(
+            "domain [{}, {}] has more values than a synopsis can index",
+            domain.lo(),
+            domain.hi()
+        ))
+    })
+}
+
 /// Reject NaN/infinite update weights before they poison every
 /// coefficient sum irrecoverably.
 pub(crate) fn check_weight(w: f64) -> Result<()> {
@@ -70,14 +82,15 @@ impl CosineSynopsis {
     ///
     /// `m` is clamped to the domain size `n`: coefficients with `k ≥ n` are
     /// redundant on an `n`-point grid and would spend space for nothing.
-    /// Returns an error when `m == 0`.
+    /// Returns an error when `m == 0` or when `n` does not fit a `usize`
+    /// (the full `i64` range).
     pub fn new(domain: Domain, grid: Grid, m: usize) -> Result<Self> {
         if m == 0 {
             return Err(DctError::InvalidParameter(
                 "coefficient count m must be at least 1".into(),
             ));
         }
-        let m = m.min(domain.size());
+        let m = m.min(domain_size(&domain)?);
         dctstream_obs::gauge_set!("synopsis.coefficients", &[("kind", "cosine")], m as f64);
         Ok(Self {
             domain,
@@ -492,6 +505,23 @@ mod tests {
 
     fn syn(n: usize, m: usize) -> CosineSynopsis {
         CosineSynopsis::new(Domain::of_size(n), Grid::Midpoint, m).unwrap()
+    }
+
+    #[test]
+    fn overwide_domains_are_errors_and_wide_ones_stay_finite() {
+        let full = Domain::new(i64::MIN, i64::MAX);
+        let err = CosineSynopsis::new(full, Grid::Midpoint, 8).unwrap_err();
+        assert!(matches!(err, DctError::InvalidParameter(_)), "{err:?}");
+        let err = crate::MultiDimSynopsis::new(vec![Domain::of_size(4), full], Grid::Midpoint, 3)
+            .unwrap_err();
+        assert!(matches!(err, DctError::InvalidParameter(_)), "{err:?}");
+
+        // 2^63 values: the widest domain whose `2 * n` used to wrap.
+        let mut s = CosineSynopsis::new(Domain::new(0, i64::MAX), Grid::Midpoint, 8).unwrap();
+        s.update_batch(&[(0, 1.0), (7, 2.0), (i64::MAX, 1.0)])
+            .unwrap();
+        assert!(s.sums().iter().all(|x| x.is_finite()), "{:?}", s.sums());
+        s.check_invariants().unwrap();
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!
 //! Sinks cover every ingest path in the workspace:
 //!
-//! - [`CosineSink`] / [`MultiSink`] — batch into `ParallelIngest`
-//!   flushes against an in-memory synopsis.
+//! - [`CosineSink`] — coalesce net weight per value, then one
+//!   `ParallelIngest` flush against an in-memory synopsis.
+//! - [`MultiSink`] — batch into `ParallelIngest` flushes against an
+//!   in-memory synopsis.
 //! - [`DurableSink`] — per-row `DurableProcessor::process_weighted`, so
 //!   each accepted row is WAL-logged (group commit applies when the
 //!   processor is wrapped in `GroupDurable`).
@@ -21,9 +23,10 @@
 use crate::csv::{split_fields_into, RawField, SplitError};
 use crate::reject::{IntakeReport, RejectCause, RejectLedger};
 use crate::schema::{Schema, ValueError};
-use dctstream_core::{CosineSynopsis, DctError, MultiDimSynopsis};
+use dctstream_core::{CosineSynopsis, DctError, Domain, MultiDimSynopsis};
 use dctstream_stream::wal::WalStorage;
 use dctstream_stream::{DurableProcessor, ParallelIngest, ShardedRegistry};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::BufRead;
 
@@ -437,19 +440,40 @@ pub fn run<R: BufRead, S: RowSink>(
     ))
 }
 
-/// Rows buffered per `ParallelIngest`/fleet flush. One flush boundary
-/// per `FLUSH_EVERY` accepted rows keeps memory bounded on unbounded
-/// stdin streams while amortizing the per-flush fan-out cost.
+/// Rows buffered per `ParallelIngest`/fleet flush by [`MultiSink`] and
+/// [`FleetSink`]. One flush boundary per `FLUSH_EVERY` accepted rows
+/// keeps memory bounded on unbounded stdin streams while amortizing the
+/// per-flush fan-out cost. [`CosineSink`] has no flush boundary: its
+/// memory is bounded by the number of distinct values instead.
 pub const FLUSH_EVERY: usize = 65_536;
 
-/// Batch accepted `(value, weight)` rows into a [`CosineSynopsis`]
-/// through [`ParallelIngest`].
+/// Largest domain for which [`CosineSink`] keeps its net weights in a
+/// dense `Vec<f64>` indexed by [`Domain::index_of`]: 8 MiB at the cap,
+/// and only the pages of values that occur are ever touched. Wider
+/// domains key a `HashMap` by value instead.
+const DENSE_DOMAIN_MAX: usize = 1 << 20;
+
+/// Net weight per domain value, accumulated in arrival order.
+enum Nets {
+    Dense(Vec<f64>),
+    Sparse(HashMap<i64, f64>),
+}
+
+/// Coalesce accepted `(value, weight)` rows into one net weight per
+/// value over the whole input, then apply them to a [`CosineSynopsis`]
+/// in one [`ParallelIngest::flush_cosine`] call at [`RowSink::finish`]:
+/// the paper's §3.2 batch update, one basis evaluation per *distinct*
+/// value. Memory is O(distinct values), not O(rows).
+///
+/// The flushed batch drops zero nets and is sorted ascending by value,
+/// as a buffered [`dctstream_stream::StreamProcessor`] flushes it, so
+/// with one worker the result is bit-identical to a buffered registry
+/// fed the same rows.
 pub struct CosineSink<'a> {
     syn: &'a mut CosineSynopsis,
-    ingest: ParallelIngest,
+    threads: usize,
     column: usize,
-    buf: Vec<(i64, f64)>,
-    flush_every: usize,
+    nets: Nets,
 }
 
 impl<'a> CosineSink<'a> {
@@ -457,20 +481,16 @@ impl<'a> CosineSink<'a> {
     /// [`IntakeOptions::targets`], used only for column attribution of
     /// domain rejects.
     pub fn new(syn: &'a mut CosineSynopsis, threads: usize, targets: &[usize]) -> Self {
+        let nets = match syn.domain().try_size() {
+            Some(n) if n <= DENSE_DOMAIN_MAX => Nets::Dense(vec![0.0; n]),
+            _ => Nets::Sparse(HashMap::new()),
+        };
         Self {
             syn,
-            ingest: ParallelIngest::with_threads(threads.max(1)),
+            threads: threads.max(1),
             column: targets.first().copied().unwrap_or(0),
-            buf: Vec::new(),
-            flush_every: FLUSH_EVERY,
+            nets,
         }
-    }
-
-    /// Override the flush boundary (mainly for tests; `usize::MAX`
-    /// buffers everything into one flush).
-    pub fn with_flush_every(mut self, n: usize) -> Self {
-        self.flush_every = n.max(1);
-        self
     }
 }
 
@@ -478,32 +498,40 @@ impl RowSink for CosineSink<'_> {
     fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
         let v = values[0];
         let d = self.syn.domain();
-        if !d.contains(v) {
-            // Pre-check so one out-of-domain row cannot fail a whole
-            // buffered flush.
+        // Checked per row, so one out-of-domain value is a ledger reject
+        // rather than a failed flush.
+        let Some(i) = d.index_of(v) else {
             return Err(SinkError::Reject(RejectCause::OutOfDomain {
                 column: self.column,
                 value: v,
                 lo: d.lo(),
                 hi: d.hi(),
             }));
-        }
-        self.buf.push((v, weight));
-        if self.buf.len() >= self.flush_every {
-            self.ingest
-                .flush_cosine(self.syn, &self.buf)
-                .map_err(SinkError::Fatal)?;
-            self.buf.clear();
+        };
+        match &mut self.nets {
+            Nets::Dense(nets) => nets[i] += weight,
+            Nets::Sparse(nets) => *nets.entry(v).or_insert(0.0) += weight,
         }
         Ok(())
     }
 
     fn finish(&mut self) -> Result<(), DctError> {
-        if !self.buf.is_empty() {
-            self.ingest.flush_cosine(self.syn, &self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
+        let lo = self.syn.domain().lo();
+        let batch: Vec<(i64, f64)> = match &mut self.nets {
+            // Index order is ascending value order.
+            Nets::Dense(nets) => nets
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, w)| **w != 0.0)
+                .map(|(i, w)| (lo + i as i64, std::mem::take(w)))
+                .collect(),
+            Nets::Sparse(nets) => {
+                let mut batch: Vec<(i64, f64)> = nets.drain().filter(|&(_, w)| w != 0.0).collect();
+                batch.sort_unstable_by_key(|&(v, _)| v);
+                batch
+            }
+        };
+        ParallelIngest::with_threads(self.threads).flush_cosine(self.syn, &batch)
     }
 }
 
@@ -586,6 +614,9 @@ pub struct DurableSink<'a, S: WalStorage> {
     dp: &'a mut DurableProcessor<S>,
     stream: String,
     targets: Vec<usize>,
+    /// The domain of a 1-d cosine stream, checked before each row is
+    /// logged: a buffered registry validates values only at its flush.
+    domain: Option<Domain>,
 }
 
 impl<'a, S: WalStorage> DurableSink<'a, S> {
@@ -596,16 +627,34 @@ impl<'a, S: WalStorage> DurableSink<'a, S> {
         stream: impl Into<String>,
         targets: &[usize],
     ) -> Self {
+        let stream = stream.into();
+        let domain = dp
+            .processor()
+            .summary(&stream)
+            .and_then(|s| s.as_cosine())
+            .map(CosineSynopsis::domain);
         Self {
             dp,
-            stream: stream.into(),
+            stream,
             targets: targets.to_vec(),
+            domain,
         }
     }
 }
 
 impl<S: WalStorage> RowSink for DurableSink<'_, S> {
     fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
+        if let (Some(d), [v]) = (self.domain, values) {
+            if !d.contains(*v) {
+                return Err(sink_error(
+                    DctError::ValueOutOfDomain {
+                        value: *v,
+                        domain: (d.lo(), d.hi()),
+                    },
+                    &self.targets,
+                ));
+            }
+        }
         self.dp
             .process_weighted(&self.stream, values, weight)
             .map(|_| ())
@@ -696,7 +745,7 @@ impl RowSink for CountSink {
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType};
-    use dctstream_core::{Domain, Grid};
+    use dctstream_core::Grid;
     use std::io::Cursor;
 
     fn schema2() -> Schema {
@@ -845,11 +894,13 @@ mod tests {
 
     #[test]
     fn cosine_sink_matches_direct_update_batch() {
-        let text = "1,0\n2,0\n2,0\n3,0\n";
+        // The sink applies the coalesced batch: one net weight per value,
+        // ascending.
+        let text = "2,0\n1,0\n2,0\n3,0\n";
         let mut ledger = RejectLedger::new(4);
         let mut syn = CosineSynopsis::new(Domain::new(0, 10), Grid::Midpoint, 8).unwrap();
         {
-            let mut sink = CosineSink::new(&mut syn, 1, &[0]).with_flush_every(usize::MAX);
+            let mut sink = CosineSink::new(&mut syn, 1, &[0]);
             run(
                 Cursor::new(text.as_bytes()),
                 &schema2(),
@@ -861,9 +912,69 @@ mod tests {
         }
         let mut direct = CosineSynopsis::new(Domain::new(0, 10), Grid::Midpoint, 8).unwrap();
         direct
-            .update_batch(&[(1, 1.0), (2, 1.0), (2, 1.0), (3, 1.0)])
+            .update_batch(&[(1, 1.0), (2, 2.0), (3, 1.0)])
             .unwrap();
-        assert_eq!(syn.sums(), direct.sums(), "bit-identical");
+        assert_eq!(syn.to_bytes(), direct.to_bytes(), "bit-identical");
+    }
+
+    #[test]
+    fn sparse_nets_match_the_coalesced_batch() {
+        // A domain past DENSE_DOMAIN_MAX keys nets by value; the flush is
+        // the same ascending, zero-free batch the dense path builds.
+        let text = "2000000,1\n-5,2\n7,1\n2000000,0.5\n7,-1\n-5,1\n";
+        let mut schema = schema2();
+        schema.columns[0].domain = None;
+        schema.columns[1].ty = ColumnType::Text;
+        let opts = IntakeOptions {
+            weight: Some(1),
+            ..IntakeOptions::default()
+        };
+        let d = Domain::new(-5, 1 << 21);
+        let mut syn = CosineSynopsis::new(d, Grid::Midpoint, 16).unwrap();
+        let mut sink = CosineSink::new(&mut syn, 1, &[0]);
+        assert!(matches!(sink.nets, Nets::Sparse(_)));
+        let mut ledger = RejectLedger::new(4);
+        run(Cursor::new(text), &schema, &opts, &mut ledger, &mut sink).unwrap();
+        let mut direct = CosineSynopsis::new(d, Grid::Midpoint, 16).unwrap();
+        direct.update_batch(&[(-5, 3.0), (2_000_000, 1.5)]).unwrap();
+        assert_eq!(syn.to_bytes(), direct.to_bytes(), "bit-identical");
+    }
+
+    #[test]
+    fn coalesced_sink_matches_per_row_updates_at_m_4096() {
+        // Zipf-like repeats over a 65,536-value domain with turnstile
+        // weights, at the benchmark's m = 4096.
+        let d = Domain::new(0, 65_535);
+        let rows: Vec<(i64, f64)> = (0..20_000u64)
+            .map(|i| {
+                let v = ((i * i * 7_919) % 65_536) as i64 % (1 + (i % 4_096) as i64);
+                (v, if i % 5 == 0 { -1.0 } else { 1.5 })
+            })
+            .collect();
+        let text: String = rows.iter().map(|(v, w)| format!("{v},{w}\n")).collect();
+        let mut schema = schema2();
+        schema.columns[0].domain = None;
+        schema.columns[1].ty = ColumnType::Text;
+        let opts = IntakeOptions {
+            weight: Some(1),
+            ..IntakeOptions::default()
+        };
+        let mut coalesced = CosineSynopsis::new(d, Grid::Midpoint, 4_096).unwrap();
+        let mut sink = CosineSink::new(&mut coalesced, 2, &[0]);
+        let mut ledger = RejectLedger::new(4);
+        let report = run(Cursor::new(text), &schema, &opts, &mut ledger, &mut sink).unwrap();
+        assert_eq!(report.accepted, rows.len() as u64);
+
+        let mut per_row = CosineSynopsis::new(d, Grid::Midpoint, 4_096).unwrap();
+        for &(v, w) in &rows {
+            per_row.update(v, w).unwrap();
+        }
+        let gross: f64 = rows.iter().map(|(_, w)| w.abs()).sum();
+        let tol = 1e-9 * gross;
+        assert!((coalesced.count() - per_row.count()).abs() <= tol);
+        for (k, (a, b)) in coalesced.sums().iter().zip(per_row.sums()).enumerate() {
+            assert!((a - b).abs() <= tol, "k={k}: {a} vs {b} (tol {tol})");
+        }
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl StreamProcessor {
     /// No-op outside buffered mode.
     pub fn flush_all(&mut self) -> Result<()> {
         for (name, buf) in &mut self.buffers {
-            // invariant: register/unregister/from_restored keep `buffers`
+            // invariant: register/unregister/from_restored/set_flush_threshold keep `buffers`
             // keyed by a subset of `streams`.
             let summary = self
                 .streams
@@ -210,6 +210,24 @@ impl StreamProcessor {
     /// The buffered-mode flush threshold, if any.
     pub fn flush_threshold(&self) -> Option<usize> {
         self.flush_threshold
+    }
+
+    /// Switch modes: flush every pending buffer, then buffer each stream
+    /// with `threshold` (`None` applies events immediately). A checkpoint
+    /// records the mode in force when it is taken.
+    pub fn set_flush_threshold(&mut self, threshold: Option<usize>) -> Result<()> {
+        self.flush_all()?;
+        let threshold = threshold.map(|t| t.max(1));
+        self.buffers = match threshold {
+            Some(t) => self
+                .streams
+                .keys()
+                .map(|n| (n.clone(), BatchBuffer::with_flush_threshold(t)))
+                .collect(),
+            None => HashMap::new(),
+        };
+        self.flush_threshold = threshold;
+        Ok(())
     }
 
     /// Register a stream. Errors on duplicate names.
@@ -789,5 +807,24 @@ mod tests {
         let mut q = ContinuousJoinQuery::new("l", "r", None, 1);
         let sample = q.observe(&mut buffered).unwrap().unwrap();
         assert_eq!(sample, direct);
+    }
+
+    #[test]
+    fn switching_modes_flushes_and_rebuffers_every_stream() {
+        let mut p = StreamProcessor::new();
+        p.register("s", cosine(16, 4)).unwrap();
+        p.set_flush_threshold(Some(usize::MAX)).unwrap();
+        assert_eq!(p.flush_threshold(), Some(usize::MAX));
+        for v in [3, 3, 5] {
+            p.process_weighted("s", &[v], 1.0).unwrap();
+        }
+        // Buffered: the summary has not seen the events yet.
+        assert_eq!(p.summary("s").unwrap().as_cosine().unwrap().count(), 0.0);
+        p.set_flush_threshold(None).unwrap();
+        assert_eq!(p.flush_threshold(), None);
+        assert_eq!(p.summary("s").unwrap().as_cosine().unwrap().count(), 3.0);
+        // Unbuffered again: events apply immediately.
+        p.process_weighted("s", &[7], 1.0).unwrap();
+        assert_eq!(p.summary("s").unwrap().as_cosine().unwrap().count(), 4.0);
     }
 }

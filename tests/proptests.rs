@@ -818,6 +818,60 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The coalescing `CosineSink` (one net weight per value, one flush)
+    /// agrees with per-row `update` to ≤ 1e-12 of the gross update
+    /// weight per coefficient sum — the `phi_kernels_agree_to_1e12`
+    /// tolerance — on duplicate-heavy input with turnstile weights read
+    /// from a weight column, exact cancellations included.
+    #[test]
+    fn coalesced_sink_matches_per_row_updates_to_1e12(
+        m in 1usize..65,
+        rows in vec((0i64..24, -6i32..7), 0..400),
+    ) {
+        use dctstream_intake::{
+            run, Column, ColumnType, CosineSink, IntakeOptions, RejectLedger, Schema,
+        };
+        use std::io::Cursor;
+
+        let rows: Vec<(i64, f64)> = rows.iter().map(|&(v, k)| (v * 10, f64::from(k) / 2.0)).collect();
+        let csv: String = rows.iter().map(|(v, w)| format!("{v},{w}\n")).collect();
+        let schema = Schema {
+            delimiter: b',',
+            has_header: false,
+            columns: vec![
+                Column { name: "v".into(), ty: ColumnType::Int, domain: None },
+                Column { name: "w".into(), ty: ColumnType::Text, domain: None },
+            ],
+        };
+        let d = Domain::new(0, 255);
+        let mut coalesced = CosineSynopsis::new(d, Grid::Midpoint, m).unwrap();
+        let report = run(
+            Cursor::new(csv.as_bytes()),
+            &schema,
+            &IntakeOptions { weight: Some(1), ..IntakeOptions::default() },
+            &mut RejectLedger::new(8),
+            &mut CosineSink::new(&mut coalesced, 1, &[0]),
+        )
+        .unwrap();
+        prop_assert_eq!(report.accepted, rows.len() as u64);
+
+        let mut per_row = CosineSynopsis::new(d, Grid::Midpoint, m).unwrap();
+        for &(v, w) in &rows {
+            per_row.update(v, w).unwrap();
+        }
+        let gross: f64 = rows.iter().map(|(_, w)| w.abs()).sum();
+        let tol = 1e-12 * gross.max(1.0);
+        prop_assert!((coalesced.count() - per_row.count()).abs() <= tol);
+        for (k, (a, b)) in coalesced.sums().iter().zip(per_row.sums()).enumerate() {
+            prop_assert!((a - b).abs() <= tol,
+                "k={} coalesced {} vs per-row {} (tol {})", k, a, b, tol);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
     /// ISSUE 9 round-trip: a schema inferred by a full-scan probe,
     /// rendered to its `.schema` text form, and parsed back must accept
     /// every row of the file it was inferred from — `probe` then
@@ -860,11 +914,11 @@ proptest! {
     }
 
     /// ISSUE 9 equivalence: intake through a schema over clean CSV is
-    /// bit-identical to flushing the same `(value, weight)` batch
-    /// straight into the synopsis — the typed front end adds
-    /// validation, never drift. Both sides use one whole-batch
-    /// `ParallelIngest` flush, the determinism contract intake's sinks
-    /// are built on.
+    /// bit-identical to flushing the same rows, coalesced to one net
+    /// weight per value in ascending order, straight into the synopsis —
+    /// the typed front end adds validation, never drift. Both sides use
+    /// one whole-batch `ParallelIngest` flush, the determinism contract
+    /// intake's sinks are built on.
     #[test]
     fn intake_is_bit_identical_to_direct_updates(
         values in vec((0i64..256, 1u8..4), 1..300),
@@ -891,7 +945,7 @@ proptest! {
         let mut via_intake = CosineSynopsis::new(d, Grid::Midpoint, 24).unwrap();
         let mut ledger = RejectLedger::new(8);
         let report = {
-            let mut sink = CosineSink::new(&mut via_intake, 1, &[0]).with_flush_every(usize::MAX);
+            let mut sink = CosineSink::new(&mut via_intake, 1, &[0]);
             run(
                 Cursor::new(csv.as_bytes()),
                 &schema,
@@ -904,7 +958,11 @@ proptest! {
         prop_assert_eq!(report.rejected, 0);
 
         let mut direct = CosineSynopsis::new(d, Grid::Midpoint, 24).unwrap();
-        let batch: Vec<(i64, f64)> = values.iter().map(|&(v, w)| (v, f64::from(w))).collect();
+        let mut nets = std::collections::BTreeMap::new();
+        for &(v, w) in &values {
+            *nets.entry(v).or_insert(0.0) += f64::from(w);
+        }
+        let batch: Vec<(i64, f64)> = nets.into_iter().collect();
         dctstream::stream::ParallelIngest::with_threads(1)
             .flush_cosine(&mut direct, &batch)
             .unwrap();
