@@ -1554,19 +1554,17 @@ pub fn run(cmd: Command) -> CliResult<String> {
             // invariant: fmt::Write to a String cannot fail, so the
             // writeln! unwraps in this block are infallible.
             let p = read_checkpoint(&path)?;
-            let mut names: Vec<&str> = p.stream_names().collect();
-            names.sort_unstable();
+            let mut streams: Vec<(&str, &Summary)> = p.streams().collect();
+            streams.sort_unstable_by_key(|(name, _)| *name);
             let mut out = String::new();
             writeln!(
                 out,
                 "checkpoint: {} stream(s), {} event(s) processed",
-                names.len(),
+                streams.len(),
                 p.events_processed()
             )
             .unwrap();
-            for name in &names {
-                // invariant: `name` was just produced by stream_names().
-                let s = p.summary(name).expect("name from stream_names");
+            for (name, s) in &streams {
                 writeln!(
                     out,
                     "  {name}: {}, {:.0} tuple(s)",
@@ -1576,7 +1574,7 @@ pub fn run(cmd: Command) -> CliResult<String> {
                 .unwrap();
             }
             if let Some(dir) = extract {
-                for name in &names {
+                for (name, _) in &streams {
                     if name.contains(['/', '\\']) {
                         return Err(CliError::Usage(format!(
                             "stream name '{name}' contains a path separator; refusing to extract"
@@ -1584,15 +1582,13 @@ pub fn run(cmd: Command) -> CliResult<String> {
                     }
                 }
                 fs::create_dir_all(&dir)?;
-                for name in &names {
-                    // invariant: `name` was just produced by stream_names().
-                    let s = p.summary(name).expect("name from stream_names");
+                for (name, s) in &streams {
                     fs::write(dir.join(format!("{name}.dcts")), s.to_bytes().as_slice())?;
                 }
                 writeln!(
                     out,
                     "extracted {} payload(s) to {}",
-                    names.len(),
+                    streams.len(),
                     dir.display()
                 )
                 .unwrap();
@@ -1627,12 +1623,9 @@ pub fn run(cmd: Command) -> CliResult<String> {
             for (name, cause) in &report.quarantined {
                 writeln!(out, "quarantined {name}: {cause}").unwrap();
             }
-            let p = dp.processor();
-            let mut names: Vec<&str> = p.stream_names().collect();
-            names.sort_unstable();
-            for name in &names {
-                // invariant: `name` was just produced by stream_names().
-                let s = p.summary(name).expect("name from stream_names");
+            let mut streams: Vec<(&str, &Summary)> = dp.processor().streams().collect();
+            streams.sort_unstable_by_key(|(name, _)| *name);
+            for (name, s) in &streams {
                 writeln!(
                     out,
                     "  {name}: {}, {:.0} tuple(s)",
@@ -1658,8 +1651,7 @@ pub fn run(cmd: Command) -> CliResult<String> {
             // writeln! unwraps in this block are infallible.
             let (dp, _) = DurableProcessor::open(&dir)?;
             let mut out = String::new();
-            let mut names: Vec<String> =
-                dp.processor().stream_names().map(str::to_string).collect();
+            let mut names: Vec<&str> = dp.processor().streams().map(|(n, _)| n).collect();
             names.sort_unstable();
             writeln!(
                 out,
@@ -1679,7 +1671,7 @@ pub fn run(cmd: Command) -> CliResult<String> {
             // Streams the ledger tracks but the registry no longer
             // holds (e.g. a registration that failed to replay).
             for (name, state, cause) in dp.health().report() {
-                if !names.contains(&name) {
+                if !names.contains(&name.as_str()) {
                     writeln!(out, "  {name}: {state} ({cause}) [no live summary]").unwrap();
                 }
             }

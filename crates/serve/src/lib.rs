@@ -17,7 +17,9 @@
 //! - **Readers** estimate against the published snapshot: no registry
 //!   lock, no mutation, no waiting on ingest. Every answer carries the
 //!   snapshot's epoch and its staleness (`records_behind`,
-//!   `gross_weight_behind`) so clients know exactly what they read.
+//!   `gross_weight_behind`) so clients know exactly what they read, and
+//!   a `degraded` entry for each participant the snapshot answered from
+//!   a checkpoint substitute because its stream is quarantined.
 //!
 //! Tenancy is by namespace: stream names are `TENANT/STREAM`, and every
 //! endpoint takes a `tenant` parameter (default `default`) that scopes
@@ -37,7 +39,7 @@ pub mod http;
 use dctstream_core::{CosineSynopsis, DctError, Domain, Grid, MultiDimSynopsis};
 use dctstream_stream::{
     ChainJoinQuery, FleetOptions, GroupDurable, Progress, RecoveryOptions, RecoveryReport,
-    RegistrySnapshot, ShardStaleness, ShardedRegistry, SnapshotCell, Summary,
+    RegistrySnapshot, ShardStaleness, ShardedRegistry, SnapshotCell, StreamStaleness, Summary,
 };
 use http::{json_escape, respond, Request, Status};
 use std::collections::VecDeque;
@@ -384,12 +386,11 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// The single-registry write side; panics in fleet mode (callers
-    /// route fleet traffic through [`Self::fleet`] instead).
-    fn gd(&self) -> &GroupDurable<DirStorage> {
+    /// The single-registry write side, if this daemon serves one.
+    fn single(&self) -> Option<&GroupDurable<DirStorage>> {
         match &self.backend {
-            Backend::Single(gd) => gd,
-            Backend::Fleet(_) => unreachable!("single-registry call routed to a fleet daemon"),
+            Backend::Single(gd) => Some(gd),
+            Backend::Fleet(_) => None,
         }
     }
 
@@ -612,18 +613,15 @@ impl Server {
     }
 
     /// Run `f` against the underlying durable registry (tests and the
-    /// CLI use this for assertions and maintenance).
-    ///
-    /// # Panics
-    ///
-    /// In fleet mode (`shards ≥ 1`) — use [`Self::with_fleet`] there.
+    /// CLI use this for assertions and maintenance), or `None` in fleet
+    /// mode (`shards ≥ 1`) — use [`Self::with_fleet`] there.
     pub fn with_registry<R>(
         &self,
         f: impl FnOnce(
             &mut dctstream_stream::DurableProcessor<dctstream_stream::SharedStorage<DirStorage>>,
         ) -> R,
-    ) -> R {
-        self.state.gd().with(f)
+    ) -> Option<R> {
+        self.state.single().map(|gd| gd.with(f))
     }
 
     /// Run `f` against the fleet backend, or `None` in single-registry
@@ -1161,12 +1159,17 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Handled {
                 }
                 Ok((applied, None))
             });
-            let (applied, snap) = match applied_then_snapshot {
-                Ok(s) => s,
-                Err(e) => return Err(rejected(&e)),
+            // A failed WAL append or fsync quarantines streams:
+            // republish so no later answer reads their live state.
+            let failed = |e: DctError| {
+                if matches!(e, DctError::Wal { .. }) {
+                    let _ = state.publish_now();
+                }
+                rejected(&e)
             };
+            let (applied, snap) = applied_then_snapshot.map_err(failed)?;
             // Durable ack: one group fsync covers the whole batch.
-            gd.sync().map_err(|e| rejected(&e))?;
+            gd.sync().map_err(failed)?;
             if let Some(snap) = snap {
                 state.cell.store(Arc::new(snap));
             }
@@ -1209,8 +1212,9 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Handled {
                 seen,
                 threshold: t,
             };
-            if let Backend::Single(gd) = &state.backend {
+            if let Some(gd) = state.single() {
                 let _ = gd.with(|dp| dp.quarantine_stream(&key, cause));
+                let _ = state.publish_now();
             }
             return Err((
                 Status::Unprocessable,
@@ -1240,18 +1244,50 @@ fn staleness_json(state: &ServerState, snap: &RegistrySnapshot) -> String {
     )
 }
 
-/// Render fleet staleness attribution as a JSON array.
-fn degraded_json(degraded: &[ShardStaleness]) -> String {
-    let entries: Vec<String> = degraded
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"shard\":{},\"records_behind\":{},\"gross_weight_behind\":{}}}",
-                d.shard, d.records_behind, d.gross_weight_behind
-            )
-        })
-        .collect();
+/// Render an answer's degraded attribution as a JSON array: dead fleet
+/// shards answered by their followers, then participants answered from
+/// a checkpoint substitute.
+fn degraded_json(dead: &[ShardStaleness], streams: &[StreamStaleness]) -> String {
+    let shards = dead.iter().map(|d| {
+        format!(
+            "{{\"shard\":{},\"records_behind\":{},\"gross_weight_behind\":{}}}",
+            d.shard, d.records_behind, d.gross_weight_behind
+        )
+    });
+    let streams = streams.iter().map(|s| {
+        format!(
+            "{{\"stream\":\"{}\",\"state\":\"{}\",\"checkpoint_watermark\":{},\
+             \"records_behind\":{},\"gross_weight_behind\":{}}}",
+            json_escape(&s.stream),
+            s.state,
+            s.checkpoint_watermark,
+            s.records_behind,
+            s.gross_weight_behind
+        )
+    });
+    let entries: Vec<String> = shards.chain(streams).collect();
     format!("\"degraded\":[{}]", entries.join(","))
+}
+
+/// The JSON body of an estimate answer. Fleet answers always carry a
+/// `degraded` array; single-registry answers only when a participant
+/// was substituted, so healthy answers keep their shape.
+fn answer_json<'a>(
+    state: &ServerState,
+    snap: &RegistrySnapshot,
+    est: f64,
+    dead: Option<Vec<ShardStaleness>>,
+    participants: impl IntoIterator<Item = &'a str>,
+) -> String {
+    let streams = snap.attribution(participants);
+    let degraded = match dead {
+        None if streams.is_empty() => String::new(),
+        dead => format!(",{}", degraded_json(&dead.unwrap_or_default(), &streams)),
+    };
+    format!(
+        "{{\"estimate\":{est},{}{degraded}}}",
+        staleness_json(state, snap)
+    )
 }
 
 /// A queryable snapshot plus, in fleet mode, the per-shard staleness of
@@ -1309,17 +1345,13 @@ fn handle_estimate(state: &ServerState, req: &Request) -> Handled {
     let est = cached_estimate(state, &snap, degraded.is_some(), &key, || {
         snap.estimate_cosine_join(&left, &right, budget)
     })?;
-    match degraded {
-        Some(d) => Ok(format!(
-            "{{\"estimate\":{est},{},{}}}",
-            staleness_json(state, &snap),
-            degraded_json(&d)
-        )),
-        None => Ok(format!(
-            "{{\"estimate\":{est},{}}}",
-            staleness_json(state, &snap)
-        )),
-    }
+    Ok(answer_json(
+        state,
+        &snap,
+        est,
+        degraded,
+        [left.as_str(), right.as_str()],
+    ))
 }
 
 fn handle_chain(state: &ServerState, req: &Request) -> Handled {
@@ -1367,17 +1399,7 @@ fn handle_chain(state: &ServerState, req: &Request) -> Handled {
     let est = cached_estimate(state, &snap, degraded.is_some(), &key, || {
         query.estimate_at(&snap, budget)
     })?;
-    match degraded {
-        Some(d) => Ok(format!(
-            "{{\"estimate\":{est},{},{}}}",
-            staleness_json(state, &snap),
-            degraded_json(&d)
-        )),
-        None => Ok(format!(
-            "{{\"estimate\":{est},{}}}",
-            staleness_json(state, &snap)
-        )),
-    }
+    Ok(answer_json(state, &snap, est, degraded, query.streams()))
 }
 
 fn handle_streams(state: &ServerState, req: &Request) -> Handled {
@@ -1387,16 +1409,14 @@ fn handle_streams(state: &ServerState, req: &Request) -> Handled {
     }
     let prefix = format!("{tenant}/");
     let snap = state.cell.load();
-    let mut names: Vec<&str> = snap
-        .stream_names()
-        .filter(|n| n.starts_with(&prefix))
+    let mut streams: Vec<(&str, &Summary)> = snap
+        .streams()
+        .filter(|(n, _)| n.starts_with(&prefix))
         .collect();
-    names.sort_unstable();
-    let entries: Vec<String> = names
+    streams.sort_unstable_by_key(|(name, _)| *name);
+    let entries: Vec<String> = streams
         .iter()
-        .map(|full| {
-            // invariant: stream_names() only yields captured streams.
-            let s = snap.summary(full).expect("listed streams are captured");
+        .map(|&(full, s)| {
             let stats = snap.stream_stats(full);
             format!(
                 "{{\"stream\":\"{}\",\"tuples\":{},\"records\":{},\"gross_weight\":{}}}",

@@ -304,6 +304,72 @@ fn ingest_quarantines_bad_rows_with_attribution() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A quarantined stream is never read silently: after the reject-rate
+/// quarantine, estimates and chains over it answer from its checkpointed
+/// summary — bit-identical to the checkpoint-time answer — and name it
+/// in a `degraded` entry with its post-checkpoint staleness. Answers
+/// that do not read it keep their healthy shape.
+#[test]
+fn quarantined_stream_answers_from_its_checkpoint_with_attribution() {
+    let dir = tmp_dir("degraded");
+    let (server, _) = Server::start(
+        &dir,
+        "127.0.0.1:0",
+        ServeOptions {
+            publish_every: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    register_cosine(addr, "default", "l");
+    register_cosine(addr, "default", "r");
+    let rows: String = (0..40).map(|v| format!("{}\n", (v * 3) % 32)).collect();
+    assert_eq!(ingest(addr, "default", "l", &rows).0, 200);
+    assert_eq!(ingest(addr, "default", "r", &rows).0, 200);
+    let (status, body) = request(addr, "POST", "/v1/checkpoint", "");
+    assert_eq!(status, 200, "{body}");
+    let (_, body) = request(addr, "GET", "/v1/estimate?left=l&right=r", "");
+    let at_checkpoint = json_num(&body, "estimate");
+    assert!(!body.contains("degraded"), "{body}");
+
+    // Five post-checkpoint records (gross mass 6.5), then a batch that
+    // trips the reject threshold after applying its one good row.
+    assert_eq!(ingest(addr, "default", "l", "1\n2\n3:2.5\n4\n5\n").0, 200);
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/ingest?stream=l&reject_threshold=0.5",
+        "bad\nworse\n7\n",
+    );
+    assert_eq!(status, 422, "{body}");
+
+    let expected = "{\"stream\":\"default/l\",\"state\":\"quarantined\",\
+                    \"checkpoint_watermark\":82,\"records_behind\":6,\"gross_weight_behind\":7.5}";
+    let (status, body) = request(addr, "GET", "/v1/estimate?left=l&right=r", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        json_num(&body, "estimate").to_bits(),
+        at_checkpoint.to_bits(),
+        "the substitute is the checkpointed summary: {body}"
+    );
+    assert!(body.contains(expected), "{body}");
+    let (status, body) = request(addr, "POST", "/v1/chain", "end l\nend r\n");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        json_num(&body, "estimate").to_bits(),
+        at_checkpoint.to_bits()
+    );
+    assert!(body.contains(expected), "{body}");
+    // An answer that does not read 'l' carries no degraded field.
+    let (status, body) = request(addr, "GET", "/v1/estimate?left=r&right=r", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(!body.contains("degraded"), "{body}");
+
+    server.shutdown(false);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The slowloris regression: a client that sends half a request and
 /// stalls cannot pin the (single) worker past the request deadline — a
 /// healthy client connecting afterwards is still served.
@@ -463,7 +529,9 @@ fn kill_mid_ingest_recovers_acked_data_bit_identically() {
         0.0,
         "publish_every=1 keeps reads fresh: {body}"
     );
-    let events_before = server.with_registry(|dp| dp.events_processed());
+    let events_before = server
+        .with_registry(|dp| dp.events_processed())
+        .expect("single-registry daemon");
 
     // Crash: no final sync, no checkpoint. Acked records were already
     // fsynced (the ack *is* the durability receipt), so nothing acked
@@ -476,7 +544,9 @@ fn kill_mid_ingest_recovers_acked_data_bit_identically() {
         "recovery must replay the WAL: {report:?}"
     );
     let addr = revived.local_addr();
-    let events_after = revived.with_registry(|dp| dp.events_processed());
+    let events_after = revived
+        .with_registry(|dp| dp.events_processed())
+        .expect("single-registry daemon");
     assert_eq!(
         events_after, events_before,
         "acked events lost in the crash"

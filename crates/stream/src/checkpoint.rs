@@ -176,8 +176,8 @@ impl StreamProcessor {
             )));
         }
         self.flush_all()?;
-        let mut names: Vec<&str> = self.stream_names().collect();
-        names.sort_unstable();
+        let mut streams: Vec<(&str, &Summary)> = self.streams().collect();
+        streams.sort_unstable_by_key(|(name, _)| *name);
         let mut buf = Vec::with_capacity(1024);
         frame::put_header(&mut buf, MANIFEST_MAGIC, MANIFEST_VERSION);
         buf.extend_from_slice(&[0u8; 3]);
@@ -200,10 +200,8 @@ impl StreamProcessor {
             buf.extend_from_slice(name.as_bytes());
             buf.extend_from_slice(&value.to_le_bytes());
         }
-        buf.extend_from_slice(&(names.len() as u64).to_le_bytes());
-        for name in names {
-            // invariant: `name` was just produced by stream_names().
-            let summary = self.summary(name).expect("name from stream_names");
+        buf.extend_from_slice(&(streams.len() as u64).to_le_bytes());
+        for (name, summary) in streams {
             let payload = summary.to_bytes();
             buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
             buf.extend_from_slice(name.as_bytes());
@@ -590,6 +588,14 @@ mod tests {
         p
     }
 
+    /// `left ⋈ right` on a capture of `p`.
+    fn join(p: &mut StreamProcessor) -> f64 {
+        crate::RegistrySnapshot::capture(p, 1)
+            .unwrap()
+            .estimate_cosine_join("left", "right", None)
+            .unwrap()
+    }
+
     #[test]
     fn checkpoint_flushes_pending_buffers() {
         let mut p = small_processor();
@@ -598,9 +604,14 @@ mod tests {
         let mut back = StreamProcessor::restore_bytes(bytes.as_slice()).unwrap();
         assert_eq!(back.events_processed(), 40);
         assert_eq!(back.flush_threshold(), Some(8));
-        let direct = p.estimate_cosine_join("left", "right", None).unwrap();
-        let restored = back.estimate_cosine_join("left", "right", None).unwrap();
-        assert_eq!(direct, restored);
+        // checkpoint_bytes flushed `p`; the reference reads its summaries.
+        let direct = dctstream_core::estimate_equi_join(
+            p.summary("left").unwrap().as_cosine().unwrap(),
+            p.summary("right").unwrap().as_cosine().unwrap(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(direct, join(&mut back));
     }
 
     #[test]
@@ -624,10 +635,7 @@ mod tests {
         assert!(!path.with_file_name("registry.dctr.tmp").exists());
         let mut back = read_checkpoint(&path).unwrap();
         assert_eq!(back.events_processed(), p.events_processed());
-        assert_eq!(
-            back.estimate_cosine_join("left", "right", None).unwrap(),
-            p.estimate_cosine_join("left", "right", None).unwrap()
-        );
+        assert_eq!(join(&mut back), join(&mut p));
         fs::remove_file(&path).unwrap();
     }
 

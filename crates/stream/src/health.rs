@@ -34,9 +34,10 @@
 //!   after post-repair verification; any failure falls back to
 //!   `Quarantined` with the rebuilt state discarded.
 //!
-//! Degraded-mode answers carry a [`StreamStaleness`] per degraded stream
-//! inside an [`Estimate`], so callers can see *how stale* the substituted
-//! checkpoint data is instead of receiving a hard error.
+//! A degraded stream is captured into a [`crate::RegistrySnapshot`] from
+//! its last checkpointed summary, and the snapshot records a
+//! [`StreamStaleness`] for it, so callers can see *how stale* the
+//! substituted data is instead of receiving a hard error.
 
 use dctstream_core::{DctError, Result};
 use std::collections::BTreeMap;
@@ -51,8 +52,9 @@ pub enum HealthState {
     /// clean — queries keep answering while the operator investigates.
     Suspect,
     /// The live summary can no longer be trusted (failed WAL append,
-    /// replay failure, or live-state integrity violation). Queries over
-    /// this stream are refused until it is repaired or dropped.
+    /// replay failure, or live-state integrity violation). Snapshots
+    /// answer for it from its last checkpointed summary, with attribution,
+    /// until it is repaired or dropped.
     Quarantined,
     /// A [`crate::recovery::DurableProcessor::repair`] is rebuilding the
     /// stream from checkpoint + WAL. Treated exactly like `Quarantined`
@@ -300,6 +302,17 @@ impl HealthRegistry {
     pub fn all_healthy(&self) -> bool {
         self.records.is_empty()
     }
+
+    /// Streams whose live summary must not be read (`Quarantined` or
+    /// `Repairing`), name-sorted. Empty, without allocating, whenever
+    /// every stream is healthy.
+    pub fn degraded_streams(&self) -> Vec<String> {
+        self.records
+            .iter()
+            .filter(|(_, r)| r.state.is_degraded())
+            .map(|(name, _)| name.clone())
+            .collect()
+    }
 }
 
 /// How stale a degraded stream's substituted answer is: the stream's
@@ -343,23 +356,6 @@ impl fmt::Display for StreamStaleness {
             self.records_behind,
             self.gross_weight_behind
         )
-    }
-}
-
-/// A chain-join estimate that may have been answered in degraded mode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Estimate {
-    /// The estimated join size.
-    pub value: f64,
-    /// One entry per degraded participating stream; empty means every
-    /// participant answered from live, healthy state.
-    pub degraded: Vec<StreamStaleness>,
-}
-
-impl Estimate {
-    /// Whether any participant answered from stale checkpoint data.
-    pub fn is_degraded(&self) -> bool {
-        !self.degraded.is_empty()
     }
 }
 
@@ -505,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn staleness_and_estimate_render_usefully() {
+    fn staleness_renders_usefully() {
         let s = StreamStaleness {
             stream: "orders".into(),
             state: Quarantined,
@@ -516,15 +512,17 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("orders") && text.contains("12") && text.contains("7"));
         assert!(text.contains("9.5"), "{text}");
-        let e = Estimate {
-            value: 41.5,
-            degraded: vec![s],
-        };
-        assert!(e.is_degraded());
-        assert!(!Estimate {
-            value: 0.0,
-            degraded: vec![]
-        }
-        .is_degraded());
+    }
+
+    #[test]
+    fn degraded_streams_lists_quarantined_and_repairing_only() {
+        let mut reg = HealthRegistry::new();
+        assert!(reg.degraded_streams().is_empty());
+        reg.transition("s", Suspect, cause()).unwrap();
+        reg.transition("q", Quarantined, cause()).unwrap();
+        reg.transition("r", Quarantined, cause()).unwrap();
+        reg.transition("r", Repairing, HealthCause::RepairStarted { attempt: 1 })
+            .unwrap();
+        assert_eq!(reg.degraded_streams(), ["q", "r"]);
     }
 }

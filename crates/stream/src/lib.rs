@@ -11,7 +11,7 @@
 //! - [`processor`] — the stream registry, event routing, continuous join
 //!   queries, and a thread-safe shared handle.
 //! - [`query`] — declarative chain-join COUNT queries (§4's query form)
-//!   executed against registered summaries.
+//!   estimated on a registry snapshot.
 //! - [`exact`] — exact join/range/band ground truth used as `Act` in the
 //!   experiments' relative-error metric.
 //! - [`checkpoint`] — durable registry checkpoints: a versioned,
@@ -27,11 +27,12 @@
 //! - [`health`] — the stream-health supervisor: a per-stream state
 //!   machine (`Healthy → Suspect → Quarantined → Repairing`) with typed
 //!   transition causes, backing self-healing repair, integrity scrubs,
-//!   and degraded-mode query answers.
-//! - [`snapshot`] — tear-free epoch snapshots of the registry: the
-//!   lock-free estimate read path (writers publish after each batch
-//!   flush, readers estimate against immutable copies with reported
-//!   staleness), which the serve daemon builds on.
+//!   and degraded snapshot members.
+//! - [`snapshot`] — tear-free epoch snapshots of the registry: the one
+//!   estimate read path (capture, then estimate on the capture; writers
+//!   publish after each batch flush, readers estimate against immutable
+//!   copies with reported staleness and degraded-member attribution),
+//!   which the serve daemon builds on.
 //! - [`retry`] — the shared bounded-retry-with-jittered-backoff policy
 //!   used by recovery, the WAL, and segment shipping.
 //! - [`ship`] — WAL segment shipping to warm followers: bounded
@@ -65,16 +66,14 @@ pub use batch::BatchBuffer;
 pub use checkpoint::{read_checkpoint, verify_checkpoint_bytes, write_checkpoint};
 pub use event::{interleave, StreamEvent, Tuple};
 pub use exact::{exact_chain_join, DenseFreq, SparseFreq2};
-pub use health::{Estimate, HealthCause, HealthRegistry, HealthState, StreamStaleness};
+pub use health::{HealthCause, HealthRegistry, HealthState, StreamStaleness};
 pub use parallel::ParallelIngest;
 pub use processor::{shared, ContinuousJoinQuery, SharedProcessor, StreamProcessor, Summary};
 pub use query::{ChainJoinQuery, ChainJoinQueryBuilder, QueryLink};
 pub use recovery::{
     DurableProcessor, GroupDurable, RecoveryOptions, RecoveryReport, RepairReport, ScrubReport,
 };
-pub use shard::{
-    FleetEstimate, FleetOptions, PromotionReport, ShardStaleness, ShardStatus, ShardedRegistry,
-};
+pub use shard::{FleetOptions, PromotionReport, ShardStaleness, ShardStatus, ShardedRegistry};
 pub use ship::{Follower, SegmentShipper, ShipOptions, ShipReport, ShipWatermark};
 pub use snapshot::{Progress, RegistrySnapshot, SnapshotCell, SnapshotStaleness, StreamStats};
 pub use wal::{

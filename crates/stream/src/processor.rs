@@ -11,9 +11,7 @@
 use crate::batch::BatchBuffer;
 use crate::event::StreamEvent;
 use crate::snapshot::{RegistrySnapshot, SnapshotCell, SnapshotStaleness, StreamStats};
-use dctstream_core::{
-    estimate_equi_join, CosineSynopsis, DctError, MultiDimSynopsis, Result, StreamSummary,
-};
+use dctstream_core::{CosineSynopsis, DctError, MultiDimSynopsis, Result, StreamSummary};
 use dctstream_sketch::{AmsSketch, FastAmsSketch, SkimmedSketch};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -148,11 +146,10 @@ impl StreamSummary for Summary {
 /// In *buffered* mode ([`Self::with_flush_threshold`]) events collect in a
 /// per-stream [`BatchBuffer`] and are applied through the summary's
 /// blocked batch kernel whenever a stream's buffer reaches the threshold —
-/// the §3.2 batch-update scheme. Estimation entry points
-/// ([`Self::estimate_cosine_join`], [`crate::query::ChainJoinQuery`],
-/// [`ContinuousJoinQuery`]) drain the involved streams' buffers first, so
-/// estimates always see every processed event; [`Self::summary`] alone
-/// reads only flushed state.
+/// the §3.2 batch-update scheme. Estimates read a [`RegistrySnapshot`],
+/// whose capture drains every buffer first, so they always see every
+/// processed event; [`Self::summary`] and [`Self::streams`] alone read
+/// only flushed state.
 #[derive(Debug, Default)]
 pub struct StreamProcessor {
     streams: HashMap<String, Summary>,
@@ -184,14 +181,10 @@ impl StreamProcessor {
     /// Flush every stream's pending buffered events into its summary.
     /// No-op outside buffered mode.
     pub fn flush_all(&mut self) -> Result<()> {
-        for (name, buf) in &mut self.buffers {
-            // invariant: register/unregister/from_restored/set_flush_threshold keep `buffers`
-            // keyed by a subset of `streams`.
-            let summary = self
-                .streams
-                .get_mut(name)
-                .expect("buffer exists only for registered streams");
-            buf.flush_into(summary)?;
+        for (name, summary) in &mut self.streams {
+            if let Some(buf) = self.buffers.get_mut(name) {
+                buf.flush_into(summary)?;
+            }
         }
         Ok(())
     }
@@ -267,20 +260,14 @@ impl StreamProcessor {
         self.total_stats
     }
 
-    /// Names of registered streams (unordered).
-    pub fn stream_names(&self) -> impl Iterator<Item = &str> {
-        self.streams.keys().map(String::as_str)
+    /// Registered streams and their flushed summaries (unordered).
+    pub fn streams(&self) -> impl Iterator<Item = (&str, &Summary)> {
+        self.streams.iter().map(|(n, s)| (n.as_str(), s))
     }
 
     /// Borrow a stream's summary.
     pub fn summary(&self, name: &str) -> Option<&Summary> {
         self.streams.get(name)
-    }
-
-    /// Mutably borrow a stream's summary (e.g. to `prepare()` a skimmed
-    /// sketch before estimation).
-    pub fn summary_mut(&mut self, name: &str) -> Option<&mut Summary> {
-        self.streams.get_mut(name)
     }
 
     /// Total events processed.
@@ -356,37 +343,6 @@ impl StreamProcessor {
         dctstream_obs::counter_add!("ingest.events", 1);
         Ok(())
     }
-
-    /// Estimate the equi-join of two cosine-summarized streams.
-    ///
-    /// In buffered mode both streams' pending events are drained first, so
-    /// the estimate reflects every processed event (reading without
-    /// flushing used to silently ignore up to `flush_threshold − 1` recent
-    /// updates per stream).
-    pub fn estimate_cosine_join(
-        &mut self,
-        left: &str,
-        right: &str,
-        budget: Option<usize>,
-    ) -> Result<f64> {
-        self.flush_stream(left)?;
-        self.flush_stream(right)?;
-        let l = self.cosine(left)?;
-        let r = self.cosine(right)?;
-        estimate_equi_join(l, r, budget)
-    }
-
-    fn cosine(&self, name: &str) -> Result<&CosineSynopsis> {
-        self.streams
-            .get(name)
-            .ok_or_else(|| DctError::InvalidParameter(format!("unknown stream '{name}'")))?
-            .as_cosine()
-            .ok_or_else(|| {
-                DctError::InvalidParameter(format!(
-                    "stream '{name}' is not summarized by a cosine synopsis"
-                ))
-            })
-    }
 }
 
 /// Thread-safe shared processor handle.
@@ -403,14 +359,13 @@ impl StreamProcessor {
 ///
 /// # Concurrent estimation
 ///
-/// Estimating through [`Self::write`] serializes readers behind ingest
-/// (the estimate entry points flush buffers, so they need the write
-/// lock — the PR 2 convoy). The scalable read path is snapshot-based:
-/// a writer (or a maintenance tick) calls [`Self::publish`] after a
-/// batch of ingest; readers call [`Self::snapshot`] — which never
-/// touches the registry lock — and estimate against the returned
-/// [`RegistrySnapshot`], checking [`RegistrySnapshot::staleness_given`]
-/// / [`Self::staleness_of`] when freshness matters.
+/// Estimates read a [`RegistrySnapshot`], never the locked registry: a
+/// writer (or a maintenance tick) calls [`Self::publish`] after a batch
+/// of ingest, which flushes and captures under the write lock once;
+/// readers call [`Self::snapshot`] — which never touches the registry
+/// lock — and estimate against the returned snapshot, checking
+/// [`RegistrySnapshot::staleness_given`] / [`Self::staleness_of`] when
+/// freshness matters.
 #[derive(Debug, Clone)]
 pub struct SharedProcessor {
     inner: Arc<RwLock<StreamProcessor>>,
@@ -560,15 +515,21 @@ impl ContinuousJoinQuery {
 
     /// Call after events have been processed; samples the estimate if the
     /// processor crossed the next sampling point. Returns the new sample,
-    /// if any. Takes the processor mutably so buffered events are drained
-    /// into the summaries before sampling.
+    /// if any. Takes the processor mutably because each sample is a
+    /// [`RegistrySnapshot::capture`] (stamped with the event count as its
+    /// epoch), which drains buffered events into the summaries first.
     pub fn observe(&mut self, processor: &mut StreamProcessor) -> Result<Option<f64>> {
-        if processor.events_processed() < self.next_sample {
+        let events = processor.events_processed();
+        if events < self.next_sample {
             return Ok(None);
         }
-        let est = processor.estimate_cosine_join(&self.left, &self.right, self.budget)?;
-        self.history.push((processor.events_processed(), est));
-        self.next_sample = processor.events_processed() + self.sample_every;
+        let est = RegistrySnapshot::capture(processor, events)?.estimate_cosine_join(
+            &self.left,
+            &self.right,
+            self.budget,
+        )?;
+        self.history.push((events, est));
+        self.next_sample = events + self.sample_every;
         Ok(Some(est))
     }
 
@@ -604,7 +565,10 @@ mod tests {
         assert!(p
             .process("nope", &StreamEvent::Insert(Tuple::unary(0)))
             .is_err());
-        let est = p.estimate_cosine_join("r1", "r2", None).unwrap();
+        let est = RegistrySnapshot::capture(&mut p, 1)
+            .unwrap()
+            .estimate_cosine_join("r1", "r2", None)
+            .unwrap();
         // Exact join: values 0..9 each appear once in r1 and 5 times in r2.
         assert!((est - 50.0).abs() < 1.0, "est {est}");
     }
@@ -616,8 +580,9 @@ mod tests {
         let schema = dctstream_sketch::SketchSchema::new(1, 2, 2, 1).unwrap();
         p.register("a", Summary::Ams(AmsSketch::new(schema, vec![0]).unwrap()))
             .unwrap();
-        assert!(p.estimate_cosine_join("c", "a", None).is_err());
-        assert!(p.estimate_cosine_join("c", "missing", None).is_err());
+        let snap = RegistrySnapshot::capture(&mut p, 1).unwrap();
+        assert!(snap.estimate_cosine_join("c", "a", None).is_err());
+        assert!(snap.estimate_cosine_join("c", "missing", None).is_err());
     }
 
     #[test]
@@ -676,9 +641,9 @@ mod tests {
             h.join().unwrap();
         }
         assert!(!shared.was_poisoned());
-        let mut guard = shared.write();
-        assert_eq!(guard.events_processed(), 1000);
-        assert!(guard.estimate_cosine_join("l", "r", None).unwrap() > 0.0);
+        assert_eq!(shared.read().events_processed(), 1000);
+        let snap = shared.publish().unwrap();
+        assert!(snap.estimate_cosine_join("l", "r", None).unwrap() > 0.0);
     }
 
     #[test]
@@ -799,8 +764,17 @@ mod tests {
                 p.process_weighted("r", &[(v * 3) % 32], 1.0).unwrap();
             }
         }
-        let direct = plain.estimate_cosine_join("l", "r", None).unwrap();
-        let via_buffer = buffered.estimate_cosine_join("l", "r", None).unwrap();
+        // The reference reads the unbuffered summaries directly.
+        let direct = dctstream_core::estimate_equi_join(
+            plain.summary("l").unwrap().as_cosine().unwrap(),
+            plain.summary("r").unwrap().as_cosine().unwrap(),
+            None,
+        )
+        .unwrap();
+        let via_buffer = RegistrySnapshot::capture(&mut buffered, 1)
+            .unwrap()
+            .estimate_cosine_join("l", "r", None)
+            .unwrap();
         assert_eq!(direct, via_buffer);
 
         // The continuous-query path flushes too.

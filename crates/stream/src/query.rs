@@ -1,15 +1,15 @@
 //! Declarative chain-join COUNT queries over registered streams —
 //! the paper's §4 query form,
 //! `SELECT COUNT(*) FROM R1, …, Rn WHERE R1.A = R2.A AND R2.B = R3.B …`,
-//! expressed against a [`StreamProcessor`] and answered from whatever
-//! summaries the streams were registered with.
+//! answered from a [`RegistrySnapshot`] of whatever summaries the
+//! streams were registered with.
 //!
 //! The spec names one registered stream per relation; inner relations name
 //! the two summary dimensions that carry the chain's join attributes. At
 //! estimation time the executor checks that every relation is summarized
 //! by the *same method* and dispatches to that method's chain estimator.
 
-use crate::processor::{StreamProcessor, Summary};
+use crate::processor::Summary;
 use crate::snapshot::RegistrySnapshot;
 use dctstream_core::{estimate_chain_join, ChainLink, DctError, Result};
 use dctstream_sketch::{estimate_fast_join, estimate_join, estimate_skimmed_join};
@@ -120,55 +120,27 @@ impl ChainJoinQuery {
         self.links.len() - 1
     }
 
-    /// Estimate the query against the processor's current summaries,
+    /// Estimate the query against a captured [`RegistrySnapshot`],
     /// optionally capping the per-relation space used (cosine
-    /// coefficients / atomic sketches). Takes the processor mutably so
-    /// each relation's pending buffered events are drained before the
-    /// summaries are read.
-    pub fn estimate(&self, processor: &mut StreamProcessor, budget: Option<usize>) -> Result<f64> {
-        for link in &self.links {
-            processor.flush_stream(link.stream())?;
-        }
-        // Resolve every stream first so errors name the offender.
-        let mut summaries = Vec::with_capacity(self.links.len());
-        for link in &self.links {
-            let s = processor.summary(link.stream()).ok_or_else(|| {
-                DctError::InvalidParameter(format!("unknown stream '{}'", link.stream()))
-            })?;
-            summaries.push(s);
-        }
-        self.estimate_over(&summaries, budget)
-    }
-
-    /// Estimate the query against a published [`RegistrySnapshot`]
-    /// instead of the live registry. Never locks and never mutates:
+    /// coefficients / atomic sketches). Never locks and never mutates:
     /// the snapshot already carries flushed, `prepare()`d summaries
     /// (see [`RegistrySnapshot::capture`]), so concurrent readers can
-    /// estimate while writers keep ingesting — the serve daemon's read
-    /// path.
+    /// estimate while writers keep ingesting. A participant the
+    /// snapshot withheld is a typed [`DctError::StreamQuarantined`];
+    /// [`RegistrySnapshot::attribution`] over [`Self::streams`] names
+    /// the participants that answered from a checkpoint substitute.
     pub fn estimate_at(&self, snapshot: &RegistrySnapshot, budget: Option<usize>) -> Result<f64> {
-        let mut summaries = Vec::with_capacity(self.links.len());
-        for link in &self.links {
-            let s = snapshot.summary(link.stream()).ok_or_else(|| {
-                DctError::InvalidParameter(format!("snapshot has no stream '{}'", link.stream()))
-            })?;
-            summaries.push(s);
-        }
+        let summaries = self
+            .links
+            .iter()
+            .map(|link| snapshot.member(link.stream()))
+            .collect::<Result<Vec<_>>>()?;
         self.estimate_over(&summaries, budget)
     }
 
-    /// Estimate the query with health awareness: participants whose
-    /// streams the `processor`'s health ledger marks degraded are
-    /// answered from their last checkpointed summary instead of failing
-    /// the whole query. See
-    /// [`crate::recovery::DurableProcessor::estimate_degraded`], which
-    /// this delegates to.
-    pub fn estimate_degraded<S: crate::wal::WalStorage>(
-        &self,
-        processor: &mut crate::recovery::DurableProcessor<S>,
-        budget: Option<usize>,
-    ) -> Result<crate::health::Estimate> {
-        processor.estimate_degraded(self, budget)
+    /// The participating stream names, in chain order.
+    pub fn streams(&self) -> impl Iterator<Item = &str> {
+        self.links.iter().map(QueryLink::stream)
     }
 
     /// Downcast every resolved summary to the method `get` extracts,
@@ -197,14 +169,8 @@ impl ChainJoinQuery {
     }
 
     /// Dispatch over already-resolved summaries, one per link in chain
-    /// order. Shared by the live path ([`Self::estimate`]) and the
-    /// degraded path, which substitutes checkpointed summaries for
-    /// quarantined streams.
-    pub(crate) fn estimate_over(
-        &self,
-        summaries: &[&Summary],
-        budget: Option<usize>,
-    ) -> Result<f64> {
+    /// order.
+    fn estimate_over(&self, summaries: &[&Summary], budget: Option<usize>) -> Result<f64> {
         debug_assert_eq!(summaries.len(), self.links.len());
         let _span = dctstream_obs::span!("query.latency");
         dctstream_obs::counter_add!("query.estimates", 1);
@@ -305,6 +271,7 @@ impl fmt::Display for ChainJoinQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::processor::StreamProcessor;
     use dctstream_core::{CosineSynopsis, Domain, Grid, MultiDimSynopsis};
     use dctstream_sketch::{AmsSketch, FastAmsSketch, FastSchema, SketchSchema};
 
@@ -327,6 +294,11 @@ mod tests {
         p.register("r2", Summary::Multi(r2)).unwrap();
         p.register("r3", Summary::Cosine(r3)).unwrap();
         p
+    }
+
+    /// Capture `p` and estimate `q` on the capture.
+    fn estimate(q: &ChainJoinQuery, p: &mut StreamProcessor) -> Result<f64> {
+        q.estimate_at(&RegistrySnapshot::capture(p, 1)?, None)
     }
 
     #[test]
@@ -361,7 +333,7 @@ mod tests {
             .end("r3")
             .build()
             .unwrap();
-        let via_query = q.estimate(&mut p, None).unwrap();
+        let via_query = estimate(&q, &mut p).unwrap();
         // Direct computation with the same synopses.
         let r1 = p.summary("r1").unwrap().as_cosine().unwrap();
         let r2 = p.summary("r2").unwrap().as_multi().unwrap();
@@ -410,7 +382,7 @@ mod tests {
         p.register("a", Summary::Ams(a)).unwrap();
         p.register("b", Summary::Ams(b)).unwrap();
         let q = ChainJoinQuery::builder().end("a").end("b").build().unwrap();
-        assert!(q.estimate(&mut p, None).unwrap().is_finite());
+        assert!(estimate(&q, &mut p).unwrap().is_finite());
 
         let fschema = FastSchema::for_single_join(4, 60, 3).unwrap();
         let mut fa = FastAmsSketch::new(fschema.clone(), vec![0]).unwrap();
@@ -426,7 +398,7 @@ mod tests {
             .end("fb")
             .build()
             .unwrap();
-        assert!(q.estimate(&mut p, None).unwrap().is_finite());
+        assert!(estimate(&q, &mut p).unwrap().is_finite());
     }
 
     #[test]
@@ -443,7 +415,7 @@ mod tests {
             .end("ams")
             .build()
             .unwrap();
-        assert!(q.estimate(&mut p, None).is_err());
+        assert!(estimate(&q, &mut p).is_err());
     }
 
     #[test]
@@ -456,7 +428,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            q.estimate(&mut p, None),
+            estimate(&q, &mut p),
             Err(DctError::InvalidChain(_))
         ));
         // Unknown stream.
@@ -465,7 +437,7 @@ mod tests {
             .end("r3")
             .build()
             .unwrap();
-        assert!(q.estimate(&mut p, None).is_err());
+        assert!(estimate(&q, &mut p).is_err());
     }
 
     #[test]
@@ -481,7 +453,7 @@ mod tests {
         p.register("b", Summary::Ams(AmsSketch::new(schema, vec![0]).unwrap()))
             .unwrap();
         let q = ChainJoinQuery::builder().end("a").end("b").build().unwrap();
-        assert!(q.estimate(&mut p, None).is_ok());
+        assert!(estimate(&q, &mut p).is_ok());
 
         // Swap 'b' to a cosine synopsis after the query exists.
         p.unregister("b");
@@ -490,7 +462,7 @@ mod tests {
             Summary::Cosine(CosineSynopsis::new(Domain::of_size(16), Grid::Midpoint, 8).unwrap()),
         )
         .unwrap();
-        let e = q.estimate(&mut p, None).unwrap_err();
+        let e = estimate(&q, &mut p).unwrap_err();
         assert!(
             matches!(e, DctError::InvalidParameter(_) | DctError::InvalidChain(_)),
             "{e}"

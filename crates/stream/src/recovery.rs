@@ -41,10 +41,11 @@
 //!   replaying. Live damage quarantines the stream; durable-artifact
 //!   damage demotes it to `Suspect` (live answers are still good);
 //!   suspects that audit clean are promoted back.
-//! - **[`DurableProcessor::estimate_degraded`]** answers a chain-join query even
-//!   when a participant is quarantined, substituting the stream's last
-//!   checkpointed summary and reporting its staleness, instead of
-//!   failing the whole query.
+//! - **[`DurableProcessor::capture_snapshot`]** keeps answering when a
+//!   stream is quarantined: the snapshot holds the stream's last
+//!   checkpointed summary and records its staleness, so every estimate
+//!   over it carries the attribution instead of failing or, worse,
+//!   reading the untrusted live summary.
 //!
 //! [`DurableProcessor::checkpoint`] closes the loop: it syncs the WAL,
 //! writes a manifest stamped with the WAL watermark (atomically), then
@@ -52,9 +53,9 @@
 
 use crate::checkpoint::{verify_checkpoint_bytes, CHECKPOINT_FILE};
 use crate::event::StreamEvent;
-use crate::health::{Estimate, HealthCause, HealthRegistry, HealthState, StreamStaleness};
+use crate::health::{HealthCause, HealthRegistry, HealthState, StreamStaleness};
 use crate::processor::{StreamProcessor, Summary};
-use crate::query::ChainJoinQuery;
+use crate::snapshot::RegistrySnapshot;
 use crate::wal::{
     lock_unpoisoned, DirStorage, ReplayOutcome, SharedStorage, SyncPolicy, TornTail, Wal, WalOp,
     WalOptions, WalRecord, WalStorage,
@@ -160,8 +161,8 @@ pub struct DurableProcessor<S: WalStorage> {
     /// +5 followed by a −3 counts 2 records and 8 gross mass even
     /// though the net weight moved by only 2. Seeded from the replay at
     /// open, cleared by [`Self::checkpoint`], recomputed by repair, and
-    /// read by [`Self::estimate_degraded`] to bound how far behind a
-    /// checkpoint-substituted answer can be.
+    /// read by [`Self::capture_snapshot`] to bound how far behind a
+    /// checkpoint-substituted member can be.
     since_checkpoint: BTreeMap<String, (u64, f64)>,
     /// Cumulative counters persisted in the checkpoint manifest's
     /// version-3 metrics block, so `stats` totals survive restarts.
@@ -459,13 +460,7 @@ impl<S: WalStorage> DurableProcessor<S> {
     /// snapshot; [`Self::repair`] or [`Self::drop_quarantined`] them
     /// first.
     pub fn checkpoint(&mut self) -> Result<usize> {
-        let degraded: Vec<String> = self
-            .health
-            .report()
-            .into_iter()
-            .filter(|(_, s, _)| s.is_degraded())
-            .map(|(n, _, _)| n)
-            .collect();
+        let degraded = self.health.degraded_streams();
         if !degraded.is_empty() {
             return Err(DctError::Checkpoint(format!(
                 "refusing to checkpoint with quarantined streams: {}; \
@@ -498,127 +493,6 @@ impl<S: WalStorage> DurableProcessor<S> {
         self.since_checkpoint.clear();
         dctstream_obs::counter_add!("checkpoint.writes", 1);
         self.wal.note_checkpoint(watermark)
-    }
-
-    /// Estimate the equi-join of two cosine-summarized streams, unless
-    /// either is quarantined or repairing.
-    pub fn estimate_cosine_join(
-        &mut self,
-        left: &str,
-        right: &str,
-        budget: Option<usize>,
-    ) -> Result<f64> {
-        self.check_stream(left)?;
-        self.check_stream(right)?;
-        self.processor.estimate_cosine_join(left, right, budget)
-    }
-
-    /// Estimate a chain-join query strictly: any degraded participant
-    /// (quarantined *or* mid-repair) fails the query with
-    /// [`DctError::StreamQuarantined`]. Use [`Self::estimate_degraded`]
-    /// for a stale-but-available answer instead.
-    pub fn estimate_chain(&mut self, query: &ChainJoinQuery, budget: Option<usize>) -> Result<f64> {
-        for link in query.links() {
-            self.check_stream(link.stream())?;
-        }
-        query.estimate(&mut self.processor, budget)
-    }
-
-    /// Answer a chain-join query in degraded mode: healthy participants
-    /// answer from live state, while participants whose streams are
-    /// `Quarantined` or `Repairing` answer from their summary in the
-    /// last checkpoint. The returned [`Estimate`] carries one
-    /// [`StreamStaleness`] per degraded participant (empty = fully
-    /// live), whose `records_behind` / `gross_weight_behind` bound how
-    /// many of *that stream's* update records — and how much gross
-    /// turnstile update mass — the substitute may be missing. Gross
-    /// mass accumulates `|w|`, so cancelling +5/−3 updates still report
-    /// 8 units behind: net weight can cancel, divergence cannot.
-    ///
-    /// Hard errors remain: a degraded participant with no checkpointed
-    /// summary has nothing to answer from.
-    pub fn estimate_degraded(
-        &mut self,
-        query: &ChainJoinQuery,
-        budget: Option<usize>,
-    ) -> Result<Estimate> {
-        let mut degraded_names: Vec<String> = Vec::new();
-        for link in query.links() {
-            let n = link.stream();
-            if self.health.is_degraded(n) && !degraded_names.iter().any(|x| x == n) {
-                degraded_names.push(n.to_string());
-            }
-        }
-        if degraded_names.is_empty() {
-            let value = query.estimate(&mut self.processor, budget)?;
-            return Ok(Estimate {
-                value,
-                degraded: Vec::new(),
-            });
-        }
-        let bytes = self
-            .read_manifest()?
-            .ok_or_else(|| DctError::StreamQuarantined {
-                stream: degraded_names[0].clone(),
-                cause: "degraded answer impossible: no checkpoint exists to substitute from".into(),
-            })?;
-        let (snapshot, ckpt_watermark) = StreamProcessor::restore_bytes_with_watermark(&bytes)?;
-
-        let mut owned: Vec<Summary> = Vec::with_capacity(query.links().len());
-        for link in query.links() {
-            let n = link.stream();
-            if self.health.is_degraded(n) {
-                let mut s =
-                    snapshot
-                        .summary(n)
-                        .cloned()
-                        .ok_or_else(|| DctError::StreamQuarantined {
-                            stream: n.to_string(),
-                            cause: "degraded answer impossible: the stream has no summary in the \
-                                last checkpoint"
-                                .into(),
-                        })?;
-                if let Summary::Skimmed(sk) = &mut s {
-                    sk.prepare_default();
-                }
-                owned.push(s);
-            } else {
-                self.processor.flush_stream(n)?;
-                let s =
-                    self.processor.summary(n).cloned().ok_or_else(|| {
-                        DctError::InvalidParameter(format!("unknown stream '{n}'"))
-                    })?;
-                owned.push(s);
-            }
-        }
-        let refs: Vec<&Summary> = owned.iter().collect();
-        let value = query.estimate_over(&refs, budget)?;
-        let degraded: Vec<StreamStaleness> = degraded_names
-            .into_iter()
-            .map(|stream| {
-                let (records_behind, gross_weight_behind) = self
-                    .since_checkpoint
-                    .get(&stream)
-                    .copied()
-                    .unwrap_or((0, 0.0));
-                StreamStaleness {
-                    state: self.health.state(&stream),
-                    stream,
-                    checkpoint_watermark: ckpt_watermark,
-                    records_behind,
-                    gross_weight_behind,
-                }
-            })
-            .collect();
-        dctstream_obs::counter_add!("query.degraded_answers", 1);
-        let worst_records = degraded.iter().map(|s| s.records_behind).max().unwrap_or(0);
-        let worst_gross = degraded
-            .iter()
-            .map(|s| s.gross_weight_behind)
-            .fold(0.0, f64::max);
-        dctstream_obs::gauge_set!("staleness.records_behind", worst_records as f64);
-        dctstream_obs::gauge_set!("staleness.gross_weight_behind", worst_gross);
-        Ok(Estimate { value, degraded })
     }
 
     fn read_manifest(&self) -> Result<Option<Vec<u8>>> {
@@ -884,7 +758,11 @@ impl<S: WalStorage> DurableProcessor<S> {
         let mut flagged: BTreeSet<String> = BTreeSet::new();
 
         // 1. Live summaries.
-        let mut names: Vec<String> = self.processor.stream_names().map(str::to_string).collect();
+        let mut names: Vec<String> = self
+            .processor
+            .streams()
+            .map(|(n, _)| n.to_string())
+            .collect();
         names.sort_unstable();
         let mut live_streams_checked = 0;
         for name in &names {
@@ -1103,8 +981,8 @@ impl<S: WalStorage> DurableProcessor<S> {
     }
 
     /// Per-stream `(update_records, gross_update_mass)` applied since
-    /// the last checkpoint — the staleness a degraded answer for that
-    /// stream would report (see [`Self::estimate_degraded`]).
+    /// the last checkpoint — the staleness a degraded member for that
+    /// stream would report (see [`Self::capture_snapshot`]).
     pub fn staleness_since_checkpoint(&self, stream: &str) -> (u64, f64) {
         self.since_checkpoint
             .get(stream)
@@ -1112,13 +990,73 @@ impl<S: WalStorage> DurableProcessor<S> {
             .unwrap_or((0, 0.0))
     }
 
-    /// Capture a tear-free [`crate::RegistrySnapshot`] of the registry
-    /// at `epoch`: flush every stream's pending buffered events, then
-    /// deep-copy the flushed summaries. Quarantined streams are captured
-    /// as-is — snapshot consumers that care consult [`Self::health`]
-    /// before trusting them. This is the serve daemon's publish step.
-    pub fn capture_snapshot(&mut self, epoch: u64) -> Result<crate::RegistrySnapshot> {
-        crate::RegistrySnapshot::capture(&mut self.processor, epoch)
+    /// Capture a tear-free [`RegistrySnapshot`] of the registry at
+    /// `epoch`: flush every stream's pending buffered events, then
+    /// deep-copy the flushed summaries. This is the serve daemon's
+    /// publish step.
+    ///
+    /// A `Quarantined` or `Repairing` stream is captured from its
+    /// summary in the last checkpoint instead, with a
+    /// [`StreamStaleness`] whose `records_behind` / `gross_weight_behind`
+    /// bound how many of *that stream's* update records — and how much
+    /// gross turnstile mass `Σ|w|` — the substitute may be missing
+    /// (read it back through [`RegistrySnapshot::attribution`]). A
+    /// degraded stream no checkpoint holds is withheld: estimates naming
+    /// it fail with [`DctError::StreamQuarantined`]. While every stream
+    /// is healthy this is one empty-ledger check; the manifest is read
+    /// only when something is degraded.
+    pub fn capture_snapshot(&mut self, epoch: u64) -> Result<RegistrySnapshot> {
+        let mut snap = RegistrySnapshot::capture(&mut self.processor, epoch)?;
+        let degraded = self.health.degraded_streams();
+        if degraded.is_empty() {
+            return Ok(snap);
+        }
+        // A manifest that cannot be read or decoded withholds the
+        // degraded streams; the healthy ones keep answering.
+        let checkpoint = self.read_manifest().and_then(|bytes| {
+            bytes
+                .map(|b| StreamProcessor::restore_bytes_with_watermark(&b))
+                .transpose()
+        });
+        let (mut baseline, checkpoint_watermark) = match checkpoint {
+            Ok(Some(found)) => found,
+            failed => {
+                let cause = match failed {
+                    Err(e) => {
+                        format!("degraded answer impossible: reading the checkpoint failed: {e}")
+                    }
+                    _ => {
+                        "degraded answer impossible: no checkpoint exists to substitute from".into()
+                    }
+                };
+                for stream in degraded {
+                    snap.withhold(stream, cause.clone());
+                }
+                return Ok(snap);
+            }
+        };
+        for stream in degraded {
+            match baseline.unregister(&stream) {
+                Some(summary) => {
+                    let (records_behind, gross_weight_behind) =
+                        self.staleness_since_checkpoint(&stream);
+                    let staleness = StreamStaleness {
+                        state: self.health.state(&stream),
+                        stream,
+                        checkpoint_watermark,
+                        records_behind,
+                        gross_weight_behind,
+                    };
+                    snap.substitute(staleness, summary);
+                }
+                None => snap.withhold(
+                    stream,
+                    "degraded answer impossible: the stream has no summary in the last checkpoint"
+                        .into(),
+                ),
+            }
+        }
+        Ok(snap)
     }
 
     /// Read access to the underlying registry.
@@ -1130,7 +1068,7 @@ impl<S: WalStorage> DurableProcessor<S> {
     ///
     /// Mutations made here bypass the WAL — they will not survive a
     /// crash until the next [`Self::checkpoint`]. Intended for
-    /// estimation-side calls (`summary_mut` to `prepare()` a sketch).
+    /// maintenance calls (`set_flush_threshold`, `checkpoint_bytes`).
     pub fn processor_mut(&mut self) -> &mut StreamProcessor {
         &mut self.processor
     }
@@ -1388,11 +1326,17 @@ impl<S: WalStorage> GroupDurable<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::ChainJoinQuery;
     use crate::wal::{FailingStorage, MemStorage, RetryPolicy, SyncPolicy};
     use dctstream_core::{CosineSynopsis, Domain, Grid};
 
     fn cosine(n: usize, m: usize) -> Summary {
         Summary::Cosine(CosineSynopsis::new(Domain::of_size(n), Grid::Midpoint, m).unwrap())
+    }
+
+    /// Capture `dp` and estimate `l ⋈ r` on the capture.
+    fn estimate<S: WalStorage>(dp: &mut DurableProcessor<S>, l: &str, r: &str) -> Result<f64> {
+        dp.capture_snapshot(1)?.estimate_cosine_join(l, r, None)
     }
 
     fn manual_opts() -> RecoveryOptions {
@@ -1429,12 +1373,12 @@ mod tests {
             dp.process_weighted("r", &[(v * 3) % 64], 1.0).unwrap();
         }
         dp.sync().unwrap();
-        let live = dp.estimate_cosine_join("l", "r", None).unwrap();
+        let live = estimate(&mut dp, "l", "r").unwrap();
 
         let (mut dp2, report) = DurableProcessor::open_with(mem, manual_opts()).unwrap();
         assert_eq!(report.replayed, 402); // 2 registrations + 400 events
         assert_eq!(dp2.events_processed(), 400);
-        assert_eq!(dp2.estimate_cosine_join("l", "r", None).unwrap(), live);
+        assert_eq!(estimate(&mut dp2, "l", "r").unwrap(), live);
     }
 
     #[test]
@@ -1487,7 +1431,8 @@ mod tests {
         dp2.process_weighted("good", &[3], 1.0).unwrap();
         let e = dp2.process_weighted("bad", &[1], 1.0).unwrap_err();
         assert!(matches!(e, DctError::StreamQuarantined { .. }));
-        let e = dp2.estimate_cosine_join("good", "bad", None).unwrap_err();
+        // 'bad' has no checkpointed summary to stand in for it.
+        let e = estimate(&mut dp2, "good", "bad").unwrap_err();
         assert!(matches!(e, DctError::StreamQuarantined { .. }));
 
         // Checkpoint refused, then allowed once the stream is dropped.
@@ -1648,7 +1593,7 @@ mod tests {
         assert_eq!(dp.health().state("a"), HealthState::Suspect);
         assert_eq!(dp.health().state("b"), HealthState::Healthy);
         // Suspect streams still answer.
-        assert!(dp.estimate_cosine_join("a", "b", None).unwrap() > 0.0);
+        assert!(estimate(&mut dp, "a", "b").unwrap() > 0.0);
         mem.restore(files);
         let report = dp.scrub().unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
@@ -1657,7 +1602,7 @@ mod tests {
     }
 
     #[test]
-    fn estimate_degraded_substitutes_checkpoint_summaries() {
+    fn capture_substitutes_checkpoint_summaries_for_degraded_streams() {
         let mem = MemStorage::new();
         let (mut dp, _) = DurableProcessor::open_with(mem, manual_opts()).unwrap();
         dp.register("l", cosine(16, 8)).unwrap();
@@ -1667,13 +1612,13 @@ mod tests {
             dp.process_weighted("r", &[(v * 3) % 16], 1.0).unwrap();
         }
         dp.checkpoint().unwrap();
-        let at_checkpoint = dp.estimate_cosine_join("l", "r", None).unwrap();
+        let at_checkpoint = estimate(&mut dp, "l", "r").unwrap();
         let q = ChainJoinQuery::builder().end("l").end("r").build().unwrap();
 
-        // Healthy: degraded path equals the strict path, no staleness.
-        let est = dp.estimate_degraded(&q, None).unwrap();
-        assert!(!est.is_degraded());
-        assert_eq!(est.value, at_checkpoint);
+        // Healthy: the chain answer equals the equi-join, no attribution.
+        let snap = dp.capture_snapshot(1).unwrap();
+        assert_eq!(q.estimate_at(&snap, None).unwrap(), at_checkpoint);
+        assert!(snap.attribution(q.streams()).is_empty());
 
         // Post-checkpoint turnstile updates on 'r': +5 then −3 is 2
         // records and 8 gross update mass behind, even though the net
@@ -1694,17 +1639,50 @@ mod tests {
             .unwrap();
         dp.process_weighted("l", &[3], 1.0).unwrap();
 
-        let e = dp.estimate_chain(&q, None).unwrap_err();
-        assert!(matches!(e, DctError::StreamQuarantined { .. }), "{e}");
-        let est = dp.estimate_degraded(&q, None).unwrap();
-        assert!(est.is_degraded());
-        assert_eq!(est.degraded.len(), 1);
-        assert_eq!(est.degraded[0].stream, "r");
-        assert_eq!(est.degraded[0].state, HealthState::Quarantined);
+        // A degraded participant is never silent: the answer reads the
+        // checkpointed 'r' and carries its attribution.
+        let snap = dp.capture_snapshot(2).unwrap();
+        let value = q.estimate_at(&snap, None).unwrap();
+        assert!(value.is_finite());
+        let degraded = snap.attribution(q.streams());
+        assert_eq!(degraded.len(), 1);
+        assert_eq!(degraded[0].stream, "r");
+        assert_eq!(degraded[0].state, HealthState::Quarantined);
         // Staleness is per-stream: 'l' updates do not inflate 'r'.
-        assert_eq!(est.degraded[0].records_behind, 2);
-        assert_eq!(est.degraded[0].gross_weight_behind, 8.0);
-        assert!(est.value.is_finite());
+        assert_eq!(degraded[0].records_behind, 2);
+        assert_eq!(degraded[0].gross_weight_behind, 8.0);
+        // An answer that does not read 'r' carries nothing.
+        assert!(snap.attribution(["l"]).is_empty());
+    }
+
+    #[test]
+    fn degraded_stream_without_a_checkpoint_is_a_typed_refusal() {
+        let (mut dp, _) = DurableProcessor::open_with(MemStorage::new(), manual_opts()).unwrap();
+        dp.register("l", cosine(16, 8)).unwrap();
+        dp.register("r", cosine(16, 8)).unwrap();
+        dp.process_weighted("r", &[1], 1.0).unwrap();
+        dp.quarantine_stream(
+            "r",
+            HealthCause::WalAppendFailed {
+                detail: "injected".into(),
+            },
+        )
+        .unwrap();
+        let q = ChainJoinQuery::builder().end("l").end("r").build().unwrap();
+        let snap = dp.capture_snapshot(1).unwrap();
+        for e in [
+            snap.estimate_cosine_join("l", "r", None).unwrap_err(),
+            q.estimate_at(&snap, None).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&e, DctError::StreamQuarantined { stream, cause }
+                    if stream == "r" && cause.contains("no checkpoint")),
+                "{e}"
+            );
+        }
+        assert!(snap.summary("r").is_none());
+        // The healthy stream keeps answering.
+        assert!(snap.estimate_cosine_join("l", "l", None).is_ok());
     }
 
     #[test]

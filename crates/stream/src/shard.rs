@@ -33,19 +33,22 @@
 //!
 //! [`ShardedRegistry::kill`] drops a primary mid-flight (buffered,
 //! never-synced WAL bytes are lost with it — exactly a crash). Queries
-//! keep answering: the coordinator substitutes the dead shard's
-//! follower state and attributes its staleness
+//! keep answering: [`ShardedRegistry::capture_merged_at`] substitutes
+//! the dead shard's follower state and returns its staleness
 //! (`records_behind` / `gross_weight_behind` versus the primary's last
-//! published watermark) in the answer, bumping
-//! `fleet.degraded_answers_total`. [`ShardedRegistry::promote`] drains
-//! the shipped tail, verifies the replay (structural invariants +
+//! published watermark) beside the merged snapshot, bumping
+//! `fleet.degraded_answers_total`. A live shard's quarantined stream is
+//! attributed inside the merged snapshot itself
+//! ([`crate::RegistrySnapshot::attribution`]), because each primary's
+//! [`crate::DurableProcessor::capture_snapshot`] already substitutes
+//! it. [`ShardedRegistry::promote`] drains the shipped tail, verifies
+//! the replay (structural invariants +
 //! watermark delta ≥ the published ack position), re-opens the follower
 //! directory as the new primary through the ordinary recovery path,
 //! checkpoints to start the new epoch at a clean anchor, and attaches a
 //! fresh follower — all stamped into the manifest as epoch E+1.
 
 use crate::processor::Summary;
-use crate::query::ChainJoinQuery;
 use crate::recovery::{DurableProcessor, RecoveryOptions};
 use crate::ship::{Follower, SegmentShipper, ShipOptions, ShipReport, ShipWatermark};
 use crate::snapshot::{RegistrySnapshot, StreamStats};
@@ -53,7 +56,6 @@ use crate::wal::{DirStorage, WalStorage};
 use dctstream_core::{DctError, Result};
 use dctstream_obs::frame::{self, FrameError, Reader, Truncated};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// File name of the fleet manifest inside the fleet root.
@@ -184,16 +186,6 @@ pub struct ShardStaleness {
     pub gross_weight_behind: f64,
 }
 
-/// A fleet answer: the merged estimate plus one [`ShardStaleness`] per
-/// shard that answered from its follower (empty = fully live).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetEstimate {
-    /// The merged estimate.
-    pub value: f64,
-    /// Per-shard staleness attribution for follower-substituted shards.
-    pub degraded: Vec<ShardStaleness>,
-}
-
 /// One shard's externally visible state (`fleet-status`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStatus {
@@ -281,7 +273,6 @@ pub struct ShardedRegistry {
     root: PathBuf,
     slots: Vec<Mutex<ShardSlot>>,
     opts: FleetOptions,
-    query_epoch: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedRegistry {
@@ -333,12 +324,7 @@ impl ShardedRegistry {
             .write_atomic(FLEET_MANIFEST_FILE, &manifest.to_bytes())
             .map_err(|e| fleet_err(format!("writing {FLEET_MANIFEST_FILE}: {e}")))?;
         dctstream_obs::gauge_set!("fleet.shards", shards as f64);
-        Ok(ShardedRegistry {
-            root,
-            slots,
-            opts,
-            query_epoch: AtomicU64::new(0),
-        })
+        Ok(ShardedRegistry { root, slots, opts })
     }
 
     /// Re-open an existing fleet from its manifest. A shard whose
@@ -357,12 +343,7 @@ impl ShardedRegistry {
         for meta in &manifest.shards {
             slots.push(Mutex::new(Self::open_slot(&root, meta, &opts)?));
         }
-        let fleet = ShardedRegistry {
-            root,
-            slots,
-            opts,
-            query_epoch: AtomicU64::new(0),
-        };
+        let fleet = ShardedRegistry { root, slots, opts };
         // Bring followers to parity, then re-anchor both sides of every
         // pair together so staleness accounting starts exact from here.
         for _ in 0..64 {
@@ -637,19 +618,13 @@ impl ShardedRegistry {
             .collect()
     }
 
-    /// Capture one merged fleet snapshot: live shards contribute a
-    /// primary snapshot; dead shards substitute their follower's
-    /// replayed state, attributed in the returned staleness list. Locks
-    /// are taken per shard in id order and released between shards —
-    /// the merge is a moment-in-time composite, with any skew bounded
-    /// by the reported staleness.
-    pub fn capture_merged(&self) -> Result<(RegistrySnapshot, Vec<ShardStaleness>)> {
-        let epoch = self.query_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.capture_merged_at(epoch)
-    }
-
-    /// [`Self::capture_merged`] under a caller-chosen epoch — the serve
-    /// daemon stamps merged snapshots with its snapshot-cell epochs.
+    /// Capture one merged fleet snapshot at `epoch` (the serve daemon
+    /// stamps merged snapshots with its snapshot-cell epochs): live
+    /// shards contribute a primary snapshot; dead shards substitute
+    /// their follower's replayed state, attributed in the returned
+    /// staleness list. Locks are taken per shard in id order and
+    /// released between shards — the merge is a moment-in-time
+    /// composite, with any skew bounded by the reported staleness.
     pub fn capture_merged_at(&self, epoch: u64) -> Result<(RegistrySnapshot, Vec<ShardStaleness>)> {
         let mut parts = Vec::with_capacity(self.slots.len());
         let mut degraded = Vec::new();
@@ -674,31 +649,6 @@ impl ShardedRegistry {
             dctstream_obs::counter_add!("fleet.degraded_answers_total", 1);
         }
         Ok((merged, degraded))
-    }
-
-    /// Answer a chain-join query from the merged fleet state, with
-    /// per-shard staleness attribution for follower-substituted shards.
-    pub fn estimate_chain(
-        &self,
-        query: &ChainJoinQuery,
-        budget: Option<usize>,
-    ) -> Result<FleetEstimate> {
-        let (snapshot, degraded) = self.capture_merged()?;
-        let value = query.estimate_at(&snapshot, budget)?;
-        Ok(FleetEstimate { value, degraded })
-    }
-
-    /// Answer an equi-join of two cosine streams from the merged fleet
-    /// state, with staleness attribution.
-    pub fn estimate_cosine_join(
-        &self,
-        left: &str,
-        right: &str,
-        budget: Option<usize>,
-    ) -> Result<FleetEstimate> {
-        let (snapshot, degraded) = self.capture_merged()?;
-        let value = snapshot.estimate_cosine_join(left, right, budget)?;
-        Ok(FleetEstimate { value, degraded })
     }
 
     /// Promote a dead shard's follower to primary: drain the shipped
@@ -858,6 +808,20 @@ mod tests {
         (0..n).map(|v| (vec![(v * stride) % domain], w)).collect()
     }
 
+    /// `l ⋈ r` on a fresh merged capture, with its dead-shard staleness.
+    fn estimate(fleet: &ShardedRegistry) -> (f64, Vec<ShardStaleness>) {
+        let (snap, dead) = fleet.capture_merged_at(1).unwrap();
+        (snap.estimate_cosine_join("l", "r", None).unwrap(), dead)
+    }
+
+    /// `l ⋈ r` on a capture of a single registry.
+    fn single_estimate(p: &mut crate::StreamProcessor) -> f64 {
+        RegistrySnapshot::capture(p, 1)
+            .unwrap()
+            .estimate_cosine_join("l", "r", None)
+            .unwrap()
+    }
+
     #[test]
     fn manifest_roundtrip_and_corruption_detection() {
         let m = FleetManifest {
@@ -932,10 +896,9 @@ mod tests {
         for (t, w) in rows(500, 64, 7, 2.0) {
             single.process_weighted("r", &t, w).unwrap();
         }
-        let fleet_est = fleet.estimate_cosine_join("l", "r", None).unwrap();
-        let single_est = single.estimate_cosine_join("l", "r", None).unwrap();
-        assert_eq!(fleet_est.value, single_est);
-        assert!(fleet_est.degraded.is_empty());
+        let (fleet_est, dead) = estimate(&fleet);
+        assert_eq!(fleet_est, single_estimate(&mut single));
+        assert!(dead.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -957,8 +920,8 @@ mod tests {
         for (t, w) in rows(800, 64, 11, 1.5) {
             single.process_weighted("r", &t, w).unwrap();
         }
-        let fleet_est = fleet.estimate_cosine_join("l", "r", None).unwrap().value;
-        let single_est = single.estimate_cosine_join("l", "r", None).unwrap();
+        let fleet_est = estimate(&fleet).0;
+        let single_est = single_estimate(&mut single);
         let rel = (fleet_est - single_est).abs() / single_est.abs().max(1e-12);
         assert!(rel <= 1e-9, "fleet {fleet_est} vs single {single_est}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -982,23 +945,65 @@ mod tests {
         let acked = fleet.kill(2).unwrap();
         // Degraded answer: still answers, attributes shard 2, fresh
         // because shipping reached parity before the kill.
-        let est = fleet.estimate_cosine_join("l", "r", None).unwrap();
-        assert_eq!(est.degraded.len(), 1);
-        assert_eq!(est.degraded[0].shard, 2);
-        assert_eq!(est.degraded[0].records_behind, 0);
+        let (est, dead) = estimate(&fleet);
+        assert_eq!(dead.len(), 1);
+        assert_eq!(dead[0].shard, 2);
+        assert_eq!(dead[0].records_behind, 0);
         // Promote and verify the fleet is whole again.
         let report = fleet.promote(2).unwrap();
         assert_eq!(report.epoch, 2);
         assert!(report.watermark >= acked.seq);
-        let est2 = fleet.estimate_cosine_join("l", "r", None).unwrap();
-        assert!(est2.degraded.is_empty());
-        assert_eq!(est.value, est2.value);
+        let (est2, dead) = estimate(&fleet);
+        assert!(dead.is_empty());
+        assert_eq!(est, est2);
         // And the manifest on disk reflects the new epoch.
         let storage = DirStorage::open(&dir).unwrap();
         let manifest =
             FleetManifest::from_bytes(&storage.read(FLEET_MANIFEST_FILE).unwrap()).unwrap();
         assert_eq!(manifest.shards[2].epoch, 2);
         assert!(manifest.shards[2].primary_dir.contains("follower-e1"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn quarantined_stream_on_a_live_shard_is_attributed_through_the_merge() {
+        let dir = tmp("quarantine");
+        let fleet = ShardedRegistry::create(&dir, 2, FleetOptions::default()).unwrap();
+        fleet.register("l", cosine(64, 16)).unwrap();
+        fleet.register("r", cosine(64, 16)).unwrap();
+        fleet.ingest("l", &rows(200, 64, 1, 1.0)).unwrap();
+        fleet.ingest("r", &rows(200, 64, 7, 1.0)).unwrap();
+        fleet.checkpoint_all().unwrap();
+        fleet.ingest("l", &rows(50, 64, 3, 1.0)).unwrap();
+        // Quarantine 'l' on shard 1 only; both primaries stay alive.
+        let behind = {
+            let mut s = lock(&fleet.slots[1]);
+            let dp = s.primary_mut().unwrap();
+            dp.quarantine_stream(
+                "l",
+                crate::HealthCause::WalAppendFailed {
+                    detail: "injected".into(),
+                },
+            )
+            .unwrap();
+            dp.staleness_since_checkpoint("l")
+        };
+        assert!(behind.0 > 0, "the post-checkpoint rows must reach shard 1");
+
+        let (snap, dead) = fleet.capture_merged_at(2).unwrap();
+        assert!(dead.is_empty(), "no shard is down");
+        assert!(snap
+            .estimate_cosine_join("l", "r", None)
+            .unwrap()
+            .is_finite());
+        let degraded = snap.attribution(["l", "r"]);
+        assert_eq!(degraded.len(), 1);
+        assert_eq!(degraded[0].stream, "l");
+        assert_eq!(
+            (degraded[0].records_behind, degraded[0].gross_weight_behind),
+            behind
+        );
+        assert!(snap.attribution(["r"]).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

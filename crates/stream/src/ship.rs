@@ -37,8 +37,9 @@
 //! [`ShipWatermark`] carries the primary's WAL watermark plus its
 //! cumulative update totals since the fleet's common anchor, and
 //! [`Follower::behind`] reports `(records_behind, gross_weight_behind)`
-//! in the same turnstile-sound vocabulary as `estimate_degraded` —
-//! cancelling +w/−w churn still counts in full.
+//! in the same turnstile-sound vocabulary as a degraded snapshot
+//! member's [`crate::StreamStaleness`] — cancelling +w/−w churn still
+//! counts in full.
 
 use crate::checkpoint::CHECKPOINT_FILE;
 use crate::processor::{StreamProcessor, Summary};
@@ -285,7 +286,7 @@ impl<S: WalStorage> Follower<S> {
     /// Bootstrap from the shipped manifest if the follower is still
     /// pristine and a manifest is present. Returns whether it did.
     fn try_bootstrap(&mut self) -> Result<bool> {
-        if self.applied_seq != 0 || self.processor.stream_names().next().is_some() {
+        if self.applied_seq != 0 || self.processor.streams().next().is_some() {
             return Ok(false);
         }
         let manifest = match self
@@ -417,13 +418,8 @@ impl<S: WalStorage> Follower<S> {
     /// Run every replayed summary's structural invariant audit — the
     /// promotion gate's first half (the second is the watermark delta).
     pub fn check(&self) -> Result<()> {
-        let names: Vec<String> = self.processor.stream_names().map(str::to_string).collect();
-        for name in names {
-            // invariant: stream_names only yields registered streams.
-            self.processor
-                .summary(&name)
-                .expect("stream_names yields registered streams")
-                .check_invariants()?;
+        for (_, summary) in self.processor.streams() {
+            summary.check_invariants()?;
         }
         Ok(())
     }

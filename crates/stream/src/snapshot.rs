@@ -1,11 +1,11 @@
-//! Tear-free registry snapshots: the lock-free estimate read path.
+//! Tear-free registry snapshots: the only estimate read path.
 //!
-//! PR 2 made every estimate entry point flush the involved streams'
-//! batch buffers before reading, which forced the *query* path onto the
-//! registry's **write** lock — concurrent readers serialized behind
-//! ingest (a classic lock convoy). This module inverts the design, the
-//! same way [`dctstream_obs::MetricsSnapshot`] decouples metric readers
-//! from the hot ingest path:
+//! Every estimate is a *capture* followed by an *estimate on the
+//! capture*. Flushing batch buffers at read time would force readers
+//! onto the registry's **write** lock and serialize them behind ingest
+//! (a lock convoy), so the flush happens once, at capture, the same way
+//! [`dctstream_obs::MetricsSnapshot`] decouples metric readers from the
+//! hot ingest path:
 //!
 //! - the **write side** keeps mutating the live [`StreamProcessor`]
 //!   under its lock, exactly as before;
@@ -15,7 +15,23 @@
 //!   [`SnapshotCell`];
 //! - **readers** grab the current `Arc<RegistrySnapshot>` (a pointer
 //!   swap under a momentary read lock, never the registry lock) and
-//!   estimate against it with zero synchronization and zero mutation.
+//!   estimate against it with zero synchronization and zero mutation,
+//!   through [`RegistrySnapshot::estimate_cosine_join`] or
+//!   [`crate::ChainJoinQuery::estimate_at`].
+//!
+//! The three captures are [`RegistrySnapshot::capture`] (a bare
+//! registry), [`crate::DurableProcessor::capture_snapshot`] (a durable
+//! registry with health supervision) and
+//! [`crate::ShardedRegistry::capture_merged_at`] (a fleet);
+//! [`crate::SharedProcessor::publish`] captures into a [`SnapshotCell`].
+//!
+//! A **degraded** stream (`Quarantined` or `Repairing`) is a snapshot
+//! member like any other, captured from its last checkpointed summary
+//! and carrying a [`StreamStaleness`] that says so;
+//! [`RegistrySnapshot::attribution`] returns those entries for an
+//! answer's participants. A degraded stream with no checkpointed summary
+//! is *withheld*: any estimate naming it is a typed
+//! [`DctError::StreamQuarantined`].
 //!
 //! A snapshot is *stale by design*: it reflects the registry as of its
 //! publish, not as of the read. The staleness is **reported, not
@@ -23,10 +39,11 @@
 //! counters at publish time, and [`RegistrySnapshot::staleness_given`]
 //! turns the live counters into a [`SnapshotStaleness`]
 //! (`records_behind` / `gross_weight_behind`, the same turnstile-sound
-//! gross-mass accounting `estimate_degraded` uses: a +5 followed by a −5
+//! gross-mass accounting degraded members use: a +5 followed by a −5
 //! is 2 records and 10 gross mass behind even though the net weight
 //! moved by zero).
 
+use crate::health::StreamStaleness;
 use crate::processor::{StreamProcessor, Summary};
 use dctstream_core::{estimate_equi_join, DctError, Result};
 use std::collections::HashMap;
@@ -80,6 +97,21 @@ pub struct RegistrySnapshot {
     summaries: HashMap<String, Summary>,
     stats: HashMap<String, StreamStats>,
     total: StreamStats,
+    /// One entry per member captured from a checkpoint substitute
+    /// instead of live state (a merged snapshot keeps every part's).
+    substituted: Vec<StreamStaleness>,
+    /// Degraded streams with no substitute, with the reason; estimates
+    /// naming one fail with [`DctError::StreamQuarantined`].
+    withheld: Vec<(String, String)>,
+}
+
+/// Skimmed sketches answer only once prepared; snapshots prepare theirs
+/// at capture so estimates never need `&mut`.
+fn prepared(mut summary: Summary) -> Summary {
+    if let Summary::Skimmed(sk) = &mut summary {
+        sk.prepare_default();
+    }
+    summary
 }
 
 impl RegistrySnapshot {
@@ -92,6 +124,8 @@ impl RegistrySnapshot {
             summaries: HashMap::new(),
             stats: HashMap::new(),
             total: StreamStats::default(),
+            substituted: Vec::new(),
+            withheld: Vec::new(),
         }
     }
 
@@ -103,18 +137,9 @@ impl RegistrySnapshot {
         processor.flush_all()?;
         let mut summaries = HashMap::new();
         let mut stats = HashMap::new();
-        let names: Vec<String> = processor.stream_names().map(str::to_string).collect();
-        for name in names {
-            // invariant: stream_names() only yields registered streams.
-            let mut s = processor
-                .summary(&name)
-                .expect("stream_names yields registered streams")
-                .clone();
-            if let Summary::Skimmed(sk) = &mut s {
-                sk.prepare_default();
-            }
-            summaries.insert(name.clone(), s);
-            stats.insert(name.clone(), processor.update_stats(&name));
+        for (name, summary) in processor.streams() {
+            summaries.insert(name.to_string(), prepared(summary.clone()));
+            stats.insert(name.to_string(), processor.update_stats(name));
         }
         Ok(RegistrySnapshot {
             epoch,
@@ -122,7 +147,24 @@ impl RegistrySnapshot {
             summaries,
             stats,
             total: processor.total_update_stats(),
+            substituted: Vec::new(),
+            withheld: Vec::new(),
         })
+    }
+
+    /// Answer for `staleness.stream` from `summary`, its last
+    /// checkpointed state, instead of whatever live state was captured.
+    pub(crate) fn substitute(&mut self, staleness: StreamStaleness, summary: Summary) {
+        self.summaries
+            .insert(staleness.stream.clone(), prepared(summary));
+        self.substituted.push(staleness);
+    }
+
+    /// Leave `stream` out: it is degraded and nothing can stand in for
+    /// it, so estimates naming it fail with `cause`.
+    pub(crate) fn withhold(&mut self, stream: String, cause: String) {
+        self.summaries.remove(&stream);
+        self.withheld.push((stream, cause));
     }
 
     /// The publish epoch (monotone per cell; 0 = never published).
@@ -135,14 +177,60 @@ impl RegistrySnapshot {
         self.events
     }
 
-    /// Names of captured streams (unordered).
-    pub fn stream_names(&self) -> impl Iterator<Item = &str> {
-        self.summaries.keys().map(String::as_str)
+    /// Captured streams and their summaries (unordered; withheld
+    /// streams are absent).
+    pub fn streams(&self) -> impl Iterator<Item = (&str, &Summary)> {
+        self.summaries.iter().map(|(n, s)| (n.as_str(), s))
     }
 
     /// Borrow a captured stream's summary.
     pub fn summary(&self, name: &str) -> Option<&Summary> {
         self.summaries.get(name)
+    }
+
+    /// The summary an estimate reads for `name`: a typed
+    /// [`DctError::StreamQuarantined`] for a withheld stream, an
+    /// `InvalidParameter` for one the snapshot never saw.
+    pub(crate) fn member(&self, name: &str) -> Result<&Summary> {
+        if let Some((stream, cause)) = self.withheld.iter().find(|(n, _)| n == name) {
+            return Err(DctError::StreamQuarantined {
+                stream: stream.clone(),
+                cause: cause.clone(),
+            });
+        }
+        self.summaries
+            .get(name)
+            .ok_or_else(|| DctError::InvalidParameter(format!("snapshot has no stream '{name}'")))
+    }
+
+    /// The substitution entries among an answer's `participants`: empty
+    /// when every participant was read live. Call once per answer: a
+    /// non-empty result counts the answer in `query.degraded_answers` and
+    /// sets the `staleness.*` gauges to its worst entry.
+    pub fn attribution<'a>(
+        &self,
+        participants: impl IntoIterator<Item = &'a str>,
+    ) -> Vec<StreamStaleness> {
+        if self.substituted.is_empty() {
+            return Vec::new();
+        }
+        let names: Vec<&str> = participants.into_iter().collect();
+        let found: Vec<StreamStaleness> = self
+            .substituted
+            .iter()
+            .filter(|s| names.contains(&s.stream.as_str()))
+            .cloned()
+            .collect();
+        if let Some(worst_records) = found.iter().map(|s| s.records_behind).max() {
+            let worst_gross = found
+                .iter()
+                .map(|s| s.gross_weight_behind)
+                .fold(0.0, f64::max);
+            dctstream_obs::counter_add!("query.degraded_answers", 1);
+            dctstream_obs::gauge_set!("staleness.records_behind", worst_records as f64);
+            dctstream_obs::gauge_set!("staleness.gross_weight_behind", worst_gross);
+        }
+        found
     }
 
     /// The captured cumulative update totals for one stream.
@@ -156,9 +244,9 @@ impl RegistrySnapshot {
     }
 
     /// Estimate the equi-join of two cosine-summarized streams from the
-    /// snapshot. Never locks, never mutates: this is the concurrent
-    /// read path ([`crate::SharedProcessor::publish`] /
-    /// [`crate::SharedProcessor::snapshot`]).
+    /// snapshot. Never locks, never mutates. Read
+    /// [`Self::attribution`] for `[left, right]` to learn whether either
+    /// side answered from a checkpoint substitute.
     pub fn estimate_cosine_join(
         &self,
         left: &str,
@@ -173,15 +261,11 @@ impl RegistrySnapshot {
     }
 
     fn cosine(&self, name: &str) -> Result<&dctstream_core::CosineSynopsis> {
-        self.summaries
-            .get(name)
-            .ok_or_else(|| DctError::InvalidParameter(format!("snapshot has no stream '{name}'")))?
-            .as_cosine()
-            .ok_or_else(|| {
-                DctError::InvalidParameter(format!(
-                    "stream '{name}' is not summarized by a cosine synopsis"
-                ))
-            })
+        self.member(name)?.as_cosine().ok_or_else(|| {
+            DctError::InvalidParameter(format!(
+                "stream '{name}' is not summarized by a cosine synopsis"
+            ))
+        })
     }
 
     /// Merge per-shard snapshots into one fleet-wide snapshot at
@@ -196,6 +280,11 @@ impl RegistrySnapshot {
     /// from the parts that have them. Sketch-summarized streams are a
     /// typed error: only cosine and multi-dimensional synopses carry an
     /// exact linear merge.
+    ///
+    /// Every part's substitution and withheld entries carry over, so a
+    /// degraded stream on one shard is attributed in the merged answer;
+    /// a stream withheld by any part is withheld by the merge, since the
+    /// other parts alone would be a silently partial answer.
     pub fn merged(epoch: u64, parts: &[&RegistrySnapshot]) -> Result<RegistrySnapshot> {
         let Some((first, rest)) = parts.split_first() else {
             return Ok(RegistrySnapshot::empty());
@@ -229,6 +318,11 @@ impl RegistrySnapshot {
                     entry.gross_weight += s.gross_weight;
                 }
             }
+            out.substituted.extend(part.substituted.iter().cloned());
+            out.withheld.extend(part.withheld.iter().cloned());
+        }
+        for (name, _) in &out.withheld {
+            out.summaries.remove(name);
         }
         Ok(out)
     }
@@ -371,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn capture_flushes_and_matches_mutable_estimate() {
+    fn capture_flushes_and_matches_the_core_estimate() {
         // Buffered registry with a threshold nothing auto-flushes.
         let mut p = StreamProcessor::with_flush_threshold(10_000);
         p.register("l", cosine(32, 16)).unwrap();
@@ -382,8 +476,14 @@ mod tests {
         }
         let snap = RegistrySnapshot::capture(&mut p, 1).unwrap();
         let via_snapshot = snap.estimate_cosine_join("l", "r", None).unwrap();
-        let via_mutable = p.estimate_cosine_join("l", "r", None).unwrap();
-        assert_eq!(via_snapshot, via_mutable);
+        // The capture flushed `p`; the reference reads its summaries.
+        let direct = estimate_equi_join(
+            p.summary("l").unwrap().as_cosine().unwrap(),
+            p.summary("r").unwrap().as_cosine().unwrap(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(via_snapshot, direct);
         assert_eq!(snap.epoch(), 1);
         assert_eq!(snap.events(), 400);
     }
@@ -494,6 +594,41 @@ mod tests {
         assert!(st2.is_fresh());
         assert_eq!(st2.gross_weight_behind, 0.0);
         assert!(snap2.epoch() > snap.epoch());
+    }
+
+    #[test]
+    fn merge_keeps_every_parts_substitutions_and_withholdings() {
+        let part = |epoch| {
+            let mut p = StreamProcessor::new();
+            for name in ["x", "y", "z"] {
+                p.register(name, cosine(8, 4)).unwrap();
+                p.process_weighted(name, &[1], 1.0).unwrap();
+            }
+            RegistrySnapshot::capture(&mut p, epoch).unwrap()
+        };
+        let staleness = |stream: &str| StreamStaleness {
+            stream: stream.into(),
+            state: crate::HealthState::Quarantined,
+            checkpoint_watermark: 3,
+            records_behind: 1,
+            gross_weight_behind: 1.0,
+        };
+        let mut a = part(1);
+        a.substitute(staleness("y"), cosine(8, 4));
+        a.withhold("x".into(), "no checkpoint".into());
+        let mut b = part(2);
+        b.substitute(staleness("y"), cosine(8, 4));
+        let m = RegistrySnapshot::merged(3, &[&a, &b]).unwrap();
+        // 'x' survives on part b alone, which would be half an answer.
+        let e = m.estimate_cosine_join("x", "z", None).unwrap_err();
+        assert!(
+            matches!(&e, DctError::StreamQuarantined { stream, .. } if stream == "x"),
+            "{e}"
+        );
+        assert!(m.summary("x").is_none());
+        assert_eq!(m.attribution(["y", "z"]).len(), 2);
+        assert!(m.attribution(["z"]).is_empty());
+        assert!(m.estimate_cosine_join("y", "z", None).is_ok());
     }
 
     #[test]

@@ -71,11 +71,12 @@ fn main() -> dctstream::Result<()> {
     t1.join().expect("producer 1");
     t2.join().expect("producer 2");
 
-    // Final report.
-    let mut guard = processor.write();
-    let final_est = guard.estimate_cosine_join("trades", "calls", None)?;
+    // Final report, read from a published snapshot.
+    let final_est = processor
+        .publish()?
+        .estimate_cosine_join("trades", "calls", None)?;
     let exact: f64 = f1.iter().zip(&f2).map(|(&a, &b)| a as f64 * b as f64).sum();
-    println!("\nprocessed {} events", guard.events_processed());
+    println!("\nprocessed {} events", processor.read().events_processed());
     println!("samples taken      : {}", query.history().len());
     println!("exact join size    : {exact:.0}");
     println!("final estimate     : {final_est:.0}");

@@ -9,7 +9,17 @@ use dctstream_sketch::{
     estimate_fast_join, estimate_join, estimate_skimmed_join, AmsSketch, FastAmsSketch, FastSchema,
     SketchSchema, SkimmedSketch,
 };
-use dctstream_stream::{read_checkpoint, write_checkpoint, StreamProcessor, Summary};
+use dctstream_stream::{
+    read_checkpoint, write_checkpoint, RegistrySnapshot, StreamProcessor, Summary,
+};
+
+/// `l ⋈ r` on a capture of `p`.
+fn join(p: &mut StreamProcessor, l: &str, r: &str) -> f64 {
+    RegistrySnapshot::capture(p, 1)
+        .unwrap()
+        .estimate_cosine_join(l, r, None)
+        .unwrap()
+}
 
 /// A registry holding every summary variant, fed a deterministic stream.
 fn full_registry() -> StreamProcessor {
@@ -78,8 +88,8 @@ fn restore_preserves_estimates_for_every_variant() {
 
     // Cosine: registry-level join estimate must be bit-identical.
     assert_eq!(
-        r.estimate_cosine_join("cos-a", "cos-b", None).unwrap(),
-        p.estimate_cosine_join("cos-a", "cos-b", None).unwrap()
+        join(&mut r, "cos-a", "cos-b"),
+        join(&mut p, "cos-a", "cos-b")
     );
 
     // Multi-dimensional: box-range counts must be bit-identical.
@@ -150,8 +160,8 @@ fn resumed_processing_matches_uninterrupted_run() {
     }
     assert_eq!(r.events_processed(), p.events_processed());
     assert_eq!(
-        r.estimate_cosine_join("cos-a", "cos-b", None).unwrap(),
-        p.estimate_cosine_join("cos-a", "cos-b", None).unwrap()
+        join(&mut r, "cos-a", "cos-b"),
+        join(&mut p, "cos-a", "cos-b")
     );
     let direct = estimate_join(
         &[
@@ -199,10 +209,7 @@ fn buffered_registry_checkpoints_pending_events() {
     let mut restored = StreamProcessor::restore_bytes(bytes.as_slice()).unwrap();
     assert_eq!(restored.flush_threshold(), Some(1_000_000));
     assert_eq!(restored.events_processed(), 1000);
-    assert_eq!(
-        restored.estimate_cosine_join("l", "r", None).unwrap(),
-        direct.estimate_cosine_join("l", "r", None).unwrap()
-    );
+    assert_eq!(join(&mut restored, "l", "r"), join(&mut direct, "l", "r"));
 }
 
 #[test]
@@ -214,8 +221,8 @@ fn file_checkpoint_roundtrip() {
     write_checkpoint(&mut p, &path).unwrap();
     let mut r = read_checkpoint(&path).unwrap();
     assert_eq!(
-        r.estimate_cosine_join("cos-a", "cos-b", None).unwrap(),
-        p.estimate_cosine_join("cos-a", "cos-b", None).unwrap()
+        join(&mut r, "cos-a", "cos-b"),
+        join(&mut p, "cos-a", "cos-b")
     );
     std::fs::remove_file(&path).unwrap();
 }

@@ -2,7 +2,7 @@
 //! generation through streaming ingestion to estimation, for every
 //! summary type, against exact ground truth.
 
-use dctstream::stream::{exact_chain_join, shared, DenseFreq, SparseFreq2};
+use dctstream::stream::{exact_chain_join, shared, DenseFreq, RegistrySnapshot, SparseFreq2};
 use dctstream::{
     estimate_band_join, estimate_chain_join, estimate_equi_join, ChainLink, ContinuousJoinQuery,
     CosineSynopsis, Domain, Grid, MultiDimSynopsis, StreamProcessor, StreamSummary, Summary,
@@ -51,7 +51,8 @@ fn streaming_pipeline_tracks_exact_join() {
             .unwrap();
         query.observe(&mut processor).unwrap();
     }
-    let est = processor
+    let est = RegistrySnapshot::capture(&mut processor, 1)
+        .unwrap()
         .estimate_cosine_join("left", "right", None)
         .unwrap();
     let rel = (est - exact).abs() / exact;
@@ -338,10 +339,13 @@ fn shared_processor_concurrent_ingestion() {
             });
         }
     });
-    let mut guard = sp.write();
-    assert_eq!(guard.events_processed(), 40_000);
+    assert_eq!(sp.read().events_processed(), 40_000);
     // Both streams are uniform over the domain -> join ≈ N_a·N_b/n.
-    let est = guard.estimate_cosine_join("a", "b", None).unwrap();
+    let est = sp
+        .publish()
+        .unwrap()
+        .estimate_cosine_join("a", "b", None)
+        .unwrap();
     let expect = 20_000.0 * 20_000.0 / n as f64;
     assert!(
         (est - expect).abs() / expect < 0.05,

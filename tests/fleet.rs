@@ -7,8 +7,8 @@
 
 use dctstream_core::{CosineSynopsis, Domain, Grid};
 use dctstream_stream::{
-    FleetOptions, RecoveryOptions, ShardedRegistry, ShipOptions, StreamProcessor, Summary,
-    WalOptions,
+    FleetOptions, RecoveryOptions, RegistrySnapshot, ShardStaleness, ShardedRegistry, ShipOptions,
+    StreamProcessor, Summary, WalOptions,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -55,6 +55,20 @@ fn rows(n: i64, stride: i64, w: f64) -> Vec<(Vec<i64>, f64)> {
     (0..n).map(|v| (vec![(v * stride) % 64], w)).collect()
 }
 
+/// `l ⋈ r` on a fresh merged capture, with its dead-shard staleness.
+fn estimate(fleet: &ShardedRegistry) -> (f64, Vec<ShardStaleness>) {
+    let (snap, dead) = fleet.capture_merged_at(1).unwrap();
+    (snap.estimate_cosine_join("l", "r", None).unwrap(), dead)
+}
+
+/// `l ⋈ r` on a capture of a single registry.
+fn single_estimate(p: &mut StreamProcessor) -> f64 {
+    RegistrySnapshot::capture(p, 1)
+        .unwrap()
+        .estimate_cosine_join("l", "r", None)
+        .unwrap()
+}
+
 fn drain_ship(fleet: &ShardedRegistry) {
     for i in 0.. {
         assert!(i < 100_000, "shipping failed to drain");
@@ -83,8 +97,8 @@ fn kill_each_shard_at_ship_round_boundaries() {
             fleet.register("r", cosine()).unwrap();
             fleet.ingest("l", &rows(300, 1, 1.0)).unwrap();
             fleet.ingest("r", &rows(300, 7, 2.0)).unwrap();
-            let before = fleet.estimate_cosine_join("l", "r", None).unwrap();
-            assert!(before.degraded.is_empty());
+            let (before, dead) = estimate(&fleet);
+            assert!(dead.is_empty());
 
             for _ in 0..ship_rounds {
                 fleet.ship_and_replay().unwrap();
@@ -92,13 +106,13 @@ fn kill_each_shard_at_ship_round_boundaries() {
             let acked = fleet.kill(shard).unwrap();
 
             // Every query keeps answering, attributed to the right shard.
-            let degraded = fleet.estimate_cosine_join("l", "r", None).unwrap();
-            assert_eq!(degraded.degraded.len(), 1, "shard {shard} x{ship_rounds}");
-            assert_eq!(degraded.degraded[0].shard, shard);
-            assert!(degraded.value.is_finite());
+            let (degraded, dead) = estimate(&fleet);
+            assert_eq!(dead.len(), 1, "shard {shard} x{ship_rounds}");
+            assert_eq!(dead[0].shard, shard);
+            assert!(degraded.is_finite());
             let status = &fleet.status()[shard];
             assert!(!status.alive);
-            assert_eq!(status.records_behind, degraded.degraded[0].records_behind);
+            assert_eq!(status.records_behind, dead[0].records_behind);
 
             // Promotion replays the shipped tail and must preserve every
             // acked record.
@@ -109,14 +123,12 @@ fn kill_each_shard_at_ship_round_boundaries() {
                 report.watermark,
                 acked.seq
             );
-            let after = fleet.estimate_cosine_join("l", "r", None).unwrap();
-            assert!(after.degraded.is_empty());
+            let (after, dead) = estimate(&fleet);
+            assert!(dead.is_empty());
             assert_eq!(
-                before.value.to_bits(),
-                after.value.to_bits(),
-                "shard {shard} x{ship_rounds}: {} vs {}",
-                before.value,
-                after.value
+                before.to_bits(),
+                after.to_bits(),
+                "shard {shard} x{ship_rounds}: {before} vs {after}"
             );
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -147,20 +159,18 @@ fn kill_mid_ingest_promotion_matches_surviving_prefix() {
     // Drain the dead shard's durable bytes into its follower: that IS
     // the surviving prefix.
     drain_ship(&fleet);
-    let degraded = fleet.estimate_cosine_join("l", "r", None).unwrap();
-    assert_eq!(degraded.degraded.len(), 1);
-    assert_eq!(degraded.degraded[0].shard, 2);
+    let (degraded, dead) = estimate(&fleet);
+    assert_eq!(dead.len(), 1);
+    assert_eq!(dead[0].shard, 2);
 
     let report = fleet.promote(2).unwrap();
     assert!(report.watermark >= acked.seq, "acked records lost");
-    let after = fleet.estimate_cosine_join("l", "r", None).unwrap();
-    assert!(after.degraded.is_empty());
+    let (after, dead) = estimate(&fleet);
+    assert!(dead.is_empty());
     assert_eq!(
-        degraded.value.to_bits(),
-        after.value.to_bits(),
-        "promotion must reproduce the drained follower state exactly: {} vs {}",
-        degraded.value,
-        after.value
+        degraded.to_bits(),
+        after.to_bits(),
+        "promotion must reproduce the drained follower state exactly: {degraded} vs {after}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -176,7 +186,7 @@ fn torn_primary_tail_is_truncated_not_fatal() {
     fleet.register("r", cosine()).unwrap();
     fleet.ingest("l", &rows(250, 1, 1.0)).unwrap();
     fleet.ingest("r", &rows(250, 3, 1.0)).unwrap();
-    let before = fleet.estimate_cosine_join("l", "r", None).unwrap();
+    let (before, _) = estimate(&fleet);
     let acked = fleet.kill(1).unwrap();
 
     // Simulate the torn write: garbage half-frame appended to the dead
@@ -199,14 +209,12 @@ fn torn_primary_tail_is_truncated_not_fatal() {
 
     let report = fleet.promote(1).unwrap();
     assert!(report.watermark >= acked.seq);
-    let after = fleet.estimate_cosine_join("l", "r", None).unwrap();
-    assert!(after.degraded.is_empty());
+    let (after, dead) = estimate(&fleet);
+    assert!(dead.is_empty());
     assert_eq!(
-        before.value.to_bits(),
-        after.value.to_bits(),
-        "torn garbage must not change the answer: {} vs {}",
-        before.value,
-        after.value
+        before.to_bits(),
+        after.to_bits(),
+        "torn garbage must not change the answer: {before} vs {after}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -281,10 +289,13 @@ fn queries_survive_a_mid_flight_shard_kill() {
         std::thread::spawn(move || {
             let mut answers = 0u64;
             while !stop.load(Ordering::SeqCst) {
-                let est = fleet
+                let (snap, _) = fleet
+                    .capture_merged_at(1)
+                    .expect("queries must keep answering");
+                let est = snap
                     .estimate_cosine_join("l", "r", None)
                     .expect("queries must keep answering");
-                assert!(est.value.is_finite());
+                assert!(est.is_finite());
                 answers += 1;
             }
             answers
@@ -308,8 +319,8 @@ fn queries_survive_a_mid_flight_shard_kill() {
     // fed the exact surviving row set.
     drain_ship(&fleet);
     fleet.promote(3).unwrap();
-    let after = fleet.estimate_cosine_join("l", "r", None).unwrap();
-    assert!(after.degraded.is_empty());
+    let (after, dead) = estimate(&fleet);
+    assert!(dead.is_empty());
     let mut single = StreamProcessor::new();
     single.register("l", cosine()).unwrap();
     single.register("r", cosine()).unwrap();
@@ -319,13 +330,9 @@ fn queries_survive_a_mid_flight_shard_kill() {
     for (t, w) in rows(200, 7, 1.0) {
         single.process_weighted("r", &t, w).unwrap();
     }
-    let reference = single.estimate_cosine_join("l", "r", None).unwrap();
-    let rel = (after.value - reference).abs() / reference.abs().max(1e-12);
-    assert!(
-        rel <= 1e-9,
-        "fleet {} vs single-registry {reference}",
-        after.value
-    );
+    let reference = single_estimate(&mut single);
+    let rel = (after - reference).abs() / reference.abs().max(1e-12);
+    assert!(rel <= 1e-9, "fleet {after} vs single-registry {reference}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -351,8 +358,8 @@ proptest! {
             right.iter().map(|&(v, w)| (vec![v], w as f64)).collect();
         fleet.ingest("l", &lrows).unwrap();
         fleet.ingest("r", &rrows).unwrap();
-        let est = fleet.estimate_cosine_join("l", "r", None).unwrap();
-        prop_assert!(est.degraded.is_empty());
+        let (est, dead) = estimate(&fleet);
+        prop_assert!(dead.is_empty());
 
         let mut single = StreamProcessor::new();
         single.register("l", cosine()).unwrap();
@@ -363,15 +370,15 @@ proptest! {
         for (t, w) in &rrows {
             single.process_weighted("r", t, *w).unwrap();
         }
-        let reference = single.estimate_cosine_join("l", "r", None).unwrap();
+        let reference = single_estimate(&mut single);
         if shards == 1 {
             prop_assert_eq!(
-                est.value.to_bits(), reference.to_bits(),
-                "one-shard fleet must be bit-identical: {} vs {}", est.value, reference
+                est.to_bits(), reference.to_bits(),
+                "one-shard fleet must be bit-identical: {} vs {}", est, reference
             );
         } else {
-            let rel = (est.value - reference).abs() / reference.abs().max(1e-12);
-            prop_assert!(rel <= 1e-9, "fleet {} vs single {}", est.value, reference);
+            let rel = (est - reference).abs() / reference.abs().max(1e-12);
+            prop_assert!(rel <= 1e-9, "fleet {} vs single {}", est, reference);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

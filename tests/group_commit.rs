@@ -211,7 +211,7 @@ fn concurrent_group_durable_recovers_every_acked_update() {
     let (dp, report) = DurableProcessor::open_with(mem, opts).unwrap();
     assert!(report.quarantined.is_empty());
     assert_eq!(dp.events_processed(), total);
-    assert_eq!(dp.processor().stream_names().count(), 2);
+    assert_eq!(dp.processor().streams().count(), 2);
 }
 
 // ---------------------------------------------------------------------------

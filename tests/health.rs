@@ -5,16 +5,18 @@
 //!   damage is attributable to, while healthy (and suspect) streams keep
 //!   answering queries. Restoring the bytes and re-scrubbing promotes
 //!   the demoted streams back to healthy with no residue.
-//! - **Degraded-mode answering**: a quarantined stream answers from its
-//!   last checkpointed summary with explicit staleness, and — when the
-//!   stream has no post-checkpoint updates — the degraded value equals
-//!   the exact estimate once the stream is repaired.
+//! - **Degraded-mode answering**: a quarantined stream is captured from
+//!   its last checkpointed summary with explicit staleness, and — when
+//!   the stream has no post-checkpoint updates — the degraded value
+//!   equals the exact estimate once the stream is repaired. A degraded
+//!   participant is never silent: an answer over it either carries its
+//!   attribution or is a typed `StreamQuarantined`.
 
 use dctstream_core::{CosineSynopsis, DctError, Domain, Grid};
 use dctstream_stream::checkpoint::CHECKPOINT_FILE;
 use dctstream_stream::{
-    ChainJoinQuery, DurableProcessor, FailingStorage, HealthState, MemStorage, RecoveryOptions,
-    RetryPolicy, Summary, SyncPolicy, WalOptions,
+    ChainJoinQuery, DurableProcessor, FailingStorage, HealthCause, HealthState, MemStorage,
+    RecoveryOptions, RetryPolicy, Summary, SyncPolicy, WalOptions, WalStorage,
 };
 
 fn cosine() -> Summary {
@@ -30,6 +32,12 @@ fn opts() -> RecoveryOptions {
         },
         flush_threshold: None,
     }
+}
+
+/// `orders ⋈ parts` on a fresh capture of `dp`.
+fn orders_join_parts<S: WalStorage>(dp: &mut DurableProcessor<S>) -> dctstream_core::Result<f64> {
+    dp.capture_snapshot(1)?
+        .estimate_cosine_join("orders", "parts", None)
 }
 
 /// Two streams, a checkpoint, then enough post-checkpoint traffic to
@@ -95,7 +103,7 @@ fn scrub_detects_every_checkpoint_byte_flip() {
         // The live summaries are untouched: nobody is quarantined, and
         // the query path keeps answering (suspect streams still serve).
         assert!(dp.quarantined().is_empty(), "manifest byte {pos}");
-        dp.estimate_cosine_join("orders", "parts", None)
+        orders_join_parts(&mut dp)
             .unwrap_or_else(|e| panic!("manifest byte {pos}: query refused: {e}"));
 
         // Undo the damage: a clean scrub promotes the suspects home.
@@ -146,7 +154,7 @@ fn scrub_detects_every_sealed_wal_segment_byte_flip() {
             );
             assert_demotions_attributed(&report, &format!("{name} byte {pos}"));
             assert!(dp.quarantined().is_empty(), "{name} byte {pos}");
-            dp.estimate_cosine_join("orders", "parts", None)
+            orders_join_parts(&mut dp)
                 .unwrap_or_else(|e| panic!("{name} byte {pos}: query refused: {e}"));
 
             storage.restore(clean.clone());
@@ -173,7 +181,7 @@ fn scrub_detects_every_sealed_wal_segment_byte_flip() {
         storage.restore(files);
         let _ = dp.scrub().unwrap();
         assert!(dp.quarantined().is_empty(), "{last} byte {pos}");
-        dp.estimate_cosine_join("orders", "parts", None)
+        orders_join_parts(&mut dp)
             .unwrap_or_else(|e| panic!("{last} byte {pos}: query refused: {e}"));
         storage.restore(clean.clone());
         dp.scrub().unwrap();
@@ -214,16 +222,13 @@ fn degraded_answer_carries_staleness_and_matches_exact_after_repair() {
 
     let q = ChainJoinQuery::builder().end("a").end("b").build().unwrap();
 
-    // Strict path refuses; degraded path answers with staleness.
-    let strict = dp.estimate_chain(&q, None).unwrap_err();
-    assert!(
-        matches!(&strict, DctError::StreamQuarantined { stream, .. } if stream == "a"),
-        "{strict}"
-    );
-    let est = dp.estimate_degraded(&q, None).unwrap();
-    assert!(est.is_degraded());
-    assert_eq!(est.degraded.len(), 1);
-    let staleness = &est.degraded[0];
+    // A degraded participant is never silent: the answer reads the
+    // checkpointed 'a' and carries its staleness.
+    let snap = dp.capture_snapshot(1).unwrap();
+    let value = q.estimate_at(&snap, None).unwrap();
+    let degraded = snap.attribution(q.streams());
+    assert_eq!(degraded.len(), 1);
+    let staleness = &degraded[0];
     assert_eq!(staleness.stream, "a");
     assert_eq!(staleness.state, HealthState::Quarantined);
     assert!(
@@ -238,7 +243,7 @@ fn degraded_answer_carries_staleness_and_matches_exact_after_repair() {
         "only 'a''s own post-checkpoint update counts"
     );
     assert_eq!(staleness.gross_weight_behind, 1.0);
-    assert!(est.value.is_finite());
+    assert!(value.is_finite());
 
     // Repair heals 'a' back to its durable truth.
     let report = dp.repair("a").unwrap();
@@ -249,12 +254,49 @@ fn degraded_answer_carries_staleness_and_matches_exact_after_repair() {
 
     // The exact estimate now equals the earlier degraded answer bit for
     // bit: the substitute *was* the repaired state.
-    let exact = dp.estimate_chain(&q, None).unwrap();
-    assert_eq!(exact.to_bits(), est.value.to_bits());
-    // And the degraded path reports fully-live again.
-    let live = dp.estimate_degraded(&q, None).unwrap();
-    assert!(!live.is_degraded());
-    assert_eq!(live.value.to_bits(), exact.to_bits());
+    let snap = dp.capture_snapshot(2).unwrap();
+    let exact = q.estimate_at(&snap, None).unwrap();
+    assert_eq!(exact.to_bits(), value.to_bits());
+    // And the answer reports fully-live again.
+    assert!(snap.attribution(q.streams()).is_empty());
+}
+
+/// A degraded stream that no checkpoint holds has nothing to stand in
+/// for it: both snapshot estimates refuse with a typed
+/// `StreamQuarantined` rather than read its untrusted live summary,
+/// while healthy streams keep answering.
+#[test]
+fn degraded_stream_without_a_checkpointed_summary_is_a_typed_refusal() {
+    let (mut dp, _) = DurableProcessor::open_with(MemStorage::new(), opts()).unwrap();
+    dp.register("a", cosine()).unwrap();
+    dp.register("b", cosine()).unwrap();
+    dp.process_weighted("b", &[1], 1.0).unwrap();
+    dp.checkpoint().unwrap();
+    // 'c' registers after the checkpoint, so the manifest lacks it.
+    dp.register("c", cosine()).unwrap();
+    dp.process_weighted("c", &[2], 1.0).unwrap();
+    dp.quarantine_stream(
+        "c",
+        HealthCause::WalAppendFailed {
+            detail: "injected".into(),
+        },
+    )
+    .unwrap();
+
+    let snap = dp.capture_snapshot(1).unwrap();
+    let q = ChainJoinQuery::builder().end("b").end("c").build().unwrap();
+    for e in [
+        snap.estimate_cosine_join("b", "c", None).unwrap_err(),
+        q.estimate_at(&snap, None).unwrap_err(),
+    ] {
+        assert!(
+            matches!(&e, DctError::StreamQuarantined { stream, cause }
+                if stream == "c" && cause.contains("no summary in the last checkpoint")),
+            "{e}"
+        );
+    }
+    assert!(snap.attribution(["b", "c"]).is_empty());
+    assert!(snap.estimate_cosine_join("a", "b", None).is_ok());
 }
 
 /// Regression for the staleness-accounting bug: `records_behind` must
@@ -305,9 +347,9 @@ fn staleness_counts_records_and_gross_mass_not_net_weight() {
     assert_eq!(dp.staleness_since_checkpoint("a"), (5, 10.0));
 
     let q = ChainJoinQuery::builder().end("a").end("b").build().unwrap();
-    let est = dp.estimate_degraded(&q, None).unwrap();
-    assert_eq!(est.degraded.len(), 1);
-    let s = &est.degraded[0];
+    let degraded = dp.capture_snapshot(1).unwrap().attribution(q.streams());
+    assert_eq!(degraded.len(), 1);
+    let s = &degraded[0];
     assert_eq!(s.stream, "a");
     assert_eq!(s.records_behind, 5);
     assert_eq!(s.gross_weight_behind, 10.0);

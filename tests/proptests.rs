@@ -521,9 +521,10 @@ proptest! {
 
     /// Arbitrary interleavings of updates, injected I/O faults, scrubs,
     /// repairs, syncs, and checkpoints: no public entry point ever
-    /// returns with a stream resting in `Repairing`, and the strict query
-    /// path answers exactly when no participant is degraded — mid-repair
-    /// state is never observable as healthy.
+    /// returns with a stream resting in `Repairing`, and a degraded
+    /// participant is never silent — an answer carries attribution or is
+    /// a typed `StreamQuarantined` exactly when a participant is
+    /// degraded, so mid-repair state is never observable as healthy.
     #[test]
     fn fault_repair_scrub_interleavings_stay_sound(
         steps in vec((0usize..8, 0i64..32, 0usize..2), 1..40),
@@ -532,7 +533,7 @@ proptest! {
             DurableProcessor, FailingStorage, HealthState, MemStorage, RecoveryOptions,
             RetryPolicy, Summary, SyncPolicy, WalOptions,
         };
-        use dctstream::{CosineSynopsis, Domain, Grid};
+        use dctstream::{CosineSynopsis, DctError, Domain, Grid};
         let opts = RecoveryOptions {
             wal: WalOptions {
                 sync: SyncPolicy::Always,
@@ -576,13 +577,25 @@ proptest! {
                     "stream '{}' left mid-repair after op {}", n, op
                 );
             }
-            // The strict path refuses iff a participant is degraded.
+            // The answer is attributed or refused iff a participant is
+            // degraded.
             let any_degraded =
                 dp.health().is_degraded("a") || dp.health().is_degraded("b");
-            let strict = dp.estimate_cosine_join("a", "b", None);
+            let snap = dp.capture_snapshot(1);
+            prop_assert!(snap.is_ok(), "capture failed: {:?}", snap.err());
+            let snap = snap.unwrap();
+            let flagged = match snap.estimate_cosine_join("a", "b", None) {
+                Ok(_) => !snap.attribution(["a", "b"]).is_empty(),
+                Err(DctError::StreamQuarantined { .. }) => true,
+                Err(e) => {
+                    return Err(TestCaseError::fail(format!(
+                        "untyped refusal after op {op}: {e}"
+                    )))
+                }
+            };
             prop_assert_eq!(
-                strict.is_err(), any_degraded,
-                "strict path {:?} with degraded={}", strict, any_degraded
+                flagged, any_degraded,
+                "answer flagged={} with degraded={}", flagged, any_degraded
             );
         }
     }

@@ -123,7 +123,16 @@ fn reference_manifest(ops: &[Op], k: usize) -> Vec<u8> {
 /// The number of workload records a recovered registry embodies:
 /// registrations (streams present) plus updates (events processed).
 fn recovered_record_count<S: dctstream_stream::WalStorage>(dp: &DurableProcessor<S>) -> usize {
-    dp.processor().stream_names().count() + dp.events_processed() as usize
+    dp.processor().streams().count() + dp.events_processed() as usize
+}
+
+/// `l ⋈ r` on a fresh capture of `dp`.
+fn join<S: dctstream_stream::WalStorage>(
+    dp: &mut DurableProcessor<S>,
+    l: &str,
+    r: &str,
+) -> Result<f64, DctError> {
+    dp.capture_snapshot(1)?.estimate_cosine_join(l, r, None)
 }
 
 /// Total bytes an uninterrupted run *consumes* (including segments later
@@ -396,7 +405,7 @@ fn dir_backed_full_cycle_with_quarantine() {
             dp.process_weighted("left", &[v], 1.0).unwrap();
         }
         dp.sync().unwrap();
-        live_estimate = dp.estimate_cosine_join("left", "right", None).unwrap();
+        live_estimate = join(&mut dp, "left", "right").unwrap();
     } // process "dies" here
 
     {
@@ -405,10 +414,7 @@ fn dir_backed_full_cycle_with_quarantine() {
         assert_eq!(report.replayed, 10);
         assert!(report.quarantined.is_empty());
         assert_eq!(dp.events_processed(), 90);
-        assert_eq!(
-            dp.estimate_cosine_join("left", "right", None).unwrap(),
-            live_estimate
-        );
+        assert_eq!(join(&mut dp, "left", "right").unwrap(), live_estimate);
         // Inject a poisoned record for 'right' (out-of-domain value) to
         // force quarantine on the next recovery.
         dp.process_weighted("left", &[1], 1.0).unwrap();
@@ -437,9 +443,20 @@ fn dir_backed_full_cycle_with_quarantine() {
         assert_eq!(report.quarantined[0].0, "right");
         // Degraded mode: left still ingests and self-joins.
         dp.process_weighted("left", &[2], 1.0).unwrap();
-        assert!(dp.estimate_cosine_join("left", "left", None).unwrap() > 0.0);
-        let e = dp.estimate_cosine_join("left", "right", None).unwrap_err();
-        assert!(matches!(e, DctError::StreamQuarantined { .. }));
+        let snap = dp.capture_snapshot(1).unwrap();
+        assert!(snap.estimate_cosine_join("left", "left", None).unwrap() > 0.0);
+        // A degraded participant is never silent: 'right' answers from
+        // its checkpointed summary, one poisoned record behind, and the
+        // answer says so.
+        assert!(snap.estimate_cosine_join("left", "right", None).is_ok());
+        let degraded = snap.attribution(["left", "right"]);
+        assert_eq!(degraded.len(), 1);
+        assert_eq!(degraded[0].stream, "right");
+        assert_eq!(degraded[0].records_behind, 1);
+        assert_eq!(
+            degraded[0].checkpoint_watermark,
+            report.checkpoint_watermark
+        );
         // Recovery: drop the quarantined stream, checkpoint, reopen clean.
         assert_eq!(dp.drop_quarantined().unwrap(), vec!["right".to_string()]);
         dp.checkpoint().unwrap();
