@@ -20,6 +20,11 @@
 //!   `gross_weight_behind`) so clients know exactly what they read, and
 //!   a `degraded` entry for each participant the snapshot answered from
 //!   a checkpoint substitute because its stream is quarantined.
+//! - A **fleet** daemon (`--shards N`) reads the same way: what it
+//!   publishes is a merged capture of every shard, carrying the dead
+//!   shards its followers answered for. A kill, promotion, shipping
+//!   round or quarantine moves the fleet's generation, and the next
+//!   reader republishes before answering, so no answer misses one.
 //!
 //! Tenancy is by namespace: stream names are `TENANT/STREAM`, and every
 //! endpoint takes a `tenant` parameter (default `default`) that scopes
@@ -72,9 +77,10 @@ pub struct ServeOptions {
     pub checkpoint_on_shutdown: bool,
     /// `0` (default) serves one group-commit durable registry. `N ≥ 1`
     /// serves a [`ShardedRegistry`] fleet of `N` shards under the data
-    /// directory instead: ingest hash-routes across shards, estimates
-    /// merge coefficient vectors, and answers carry a `degraded` list
-    /// attributing follower-substituted shards.
+    /// directory instead: ingest hash-routes across shards, the daemon
+    /// publishes merged captures (coefficient vectors summed across
+    /// shards) on the same `publish_every` schedule, and answers carry a
+    /// `degraded` list attributing follower-substituted shards.
     pub shards: usize,
     /// Per-request deadline in milliseconds: one request (header block
     /// plus body) must fully arrive within it. A plain per-read socket
@@ -85,8 +91,8 @@ pub struct ServeOptions {
     /// Capacity of the epoch-keyed estimate result cache (entries).
     /// Repeated estimate/chain queries between publishes are answered
     /// from the cache; any epoch advance invalidates it wholesale.
-    /// `0` disables caching. Fleet daemons never cache (each query
-    /// captures a fresh merged snapshot under a fresh epoch).
+    /// `0` disables caching. Fleet daemons cache the same way: their
+    /// answers read the published merged snapshot too.
     pub estimate_cache: usize,
     /// Per-tenant fair admission. When on, a worker that finishes a
     /// request while other connections are queued re-enqueues its
@@ -499,16 +505,18 @@ impl Server {
         });
         // Seed the progress mirror with the recovered registry's totals
         // so staleness stays a live-vs-snapshot delta after restarts.
-        // (A freshly opened fleet anchors its lineage at zero, so its
-        // mirror correctly starts at zero.)
         if let Backend::Single(gd) = &state.backend {
             let recovered = gd.with(|dp| dp.processor().total_update_stats());
             state
                 .progress
                 .add(recovered.records, recovered.gross_weight);
         }
-        // Publish epoch 1 so queries work before the first ingest.
-        state.publish_now()?;
+        // Publish epoch 1 so queries work before the first ingest. A
+        // fleet seeds its mirror from this first merged capture.
+        let first = state.publish_now()?;
+        if state.fleet().is_some() {
+            state.progress.raise_to(first.total_stats());
+        }
 
         let accept = {
             let state = Arc::clone(&state);
@@ -1188,7 +1196,16 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Handled {
             let applied = if batch.is_empty() {
                 0
             } else {
-                fleet.ingest(&key, &batch).map_err(|e| rejected(&e))?
+                fleet.ingest(&key, &batch).map_err(|e| {
+                    // Shards that applied their part before another
+                    // failed hold rows no progress count covers yet:
+                    // publish them and count them, so answers never
+                    // under-report `records_behind`.
+                    if let Ok(snap) = state.publish_now() {
+                        state.progress.raise_to(snap.total_stats());
+                    }
+                    rejected(&e)
+                })?
             };
             for (_, (_, w)) in &rows {
                 state.progress.add(1, w.abs());
@@ -1212,10 +1229,15 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Handled {
                 seen,
                 threshold: t,
             };
-            if let Some(gd) = state.single() {
-                let _ = gd.with(|dp| dp.quarantine_stream(&key, cause));
-                let _ = state.publish_now();
+            match &state.backend {
+                Backend::Single(gd) => {
+                    let _ = gd.with(|dp| dp.quarantine_stream(&key, cause));
+                }
+                Backend::Fleet(fleet) => {
+                    let _ = fleet.quarantine_stream(&key, cause);
+                }
             }
+            let _ = state.publish_now();
             return Err((
                 Status::Unprocessable,
                 format!(
@@ -1276,13 +1298,17 @@ fn answer_json<'a>(
     state: &ServerState,
     snap: &RegistrySnapshot,
     est: f64,
-    dead: Option<Vec<ShardStaleness>>,
     participants: impl IntoIterator<Item = &'a str>,
 ) -> String {
     let streams = snap.attribution(participants);
-    let degraded = match dead {
-        None if streams.is_empty() => String::new(),
-        dead => format!(",{}", degraded_json(&dead.unwrap_or_default(), &streams)),
+    let dead = snap.dead_shards();
+    if !dead.is_empty() {
+        dctstream_obs::counter_add!("fleet.degraded_answers_total", 1);
+    }
+    let degraded = if state.fleet().is_none() && streams.is_empty() {
+        String::new()
+    } else {
+        format!(",{}", degraded_json(dead, &streams))
     };
     format!(
         "{{\"estimate\":{est},{}{degraded}}}",
@@ -1290,35 +1316,29 @@ fn answer_json<'a>(
     )
 }
 
-/// A queryable snapshot plus, in fleet mode, the per-shard staleness of
-/// any follower-substituted answers.
-type QuerySnapshot = (Arc<RegistrySnapshot>, Option<Vec<ShardStaleness>>);
-
-/// The snapshot an estimate answers from: fleet daemons capture a fresh
-/// merged snapshot per query (so degraded attribution is live), single
-/// daemons read the published cell.
-fn query_snapshot(state: &ServerState) -> std::result::Result<QuerySnapshot, (Status, String)> {
-    match &state.backend {
-        Backend::Single(_) => Ok((state.cell.load(), None)),
-        Backend::Fleet(fleet) => {
-            let epoch = state.cell.next_epoch();
-            let (snap, degraded) = fleet.capture_merged_at(epoch).map_err(|e| rejected(&e))?;
-            Ok((Arc::new(snap), Some(degraded)))
+/// The snapshot an answer reads: the published one. A fleet whose
+/// generation moved past it (a kill, promotion, shipping round or
+/// quarantine that no ingest published) republishes first.
+fn read_snapshot(
+    state: &ServerState,
+) -> std::result::Result<Arc<RegistrySnapshot>, (Status, String)> {
+    let snap = state.cell.load();
+    match state.fleet() {
+        Some(fleet) if fleet.generation() != snap.generation() => {
+            state.publish_now().map_err(|e| rejected(&e))
         }
+        _ => Ok(snap),
     }
 }
 
-/// Look up / fill the estimate cache around `compute`. Only the
-/// single-registry path caches: a fleet query captures a fresh merged
-/// snapshot under a fresh epoch every time, so nothing could ever hit.
+/// Look up / fill the estimate cache around `compute`.
 fn cached_estimate(
     state: &ServerState,
     snap: &RegistrySnapshot,
-    fleet: bool,
     key: &str,
     compute: impl FnOnce() -> Result<f64>,
 ) -> std::result::Result<f64, (Status, String)> {
-    if fleet || !state.cache.enabled() {
+    if !state.cache.enabled() {
         return compute().map_err(|e| rejected(&e));
     }
     if let Some(est) = state.cache.lookup(snap.epoch(), key) {
@@ -1338,18 +1358,17 @@ fn handle_estimate(state: &ServerState, req: &Request) -> Handled {
         Some(b) => Some(parse_num::<usize>("budget", b)?),
         None => None,
     };
-    let (snap, degraded) = query_snapshot(state)?;
+    let snap = read_snapshot(state)?;
     // The cache key embeds the tenant (via the qualified names) and the
     // full query shape; the epoch is the cache's generation key.
     let key = format!("e|{left}|{right}|{budget:?}");
-    let est = cached_estimate(state, &snap, degraded.is_some(), &key, || {
+    let est = cached_estimate(state, &snap, &key, || {
         snap.estimate_cosine_join(&left, &right, budget)
     })?;
     Ok(answer_json(
         state,
         &snap,
         est,
-        degraded,
         [left.as_str(), right.as_str()],
     ))
 }
@@ -1392,14 +1411,12 @@ fn handle_chain(state: &ServerState, req: &Request) -> Handled {
     }
     let chain_key = links.join(";");
     let query = builder.build().map_err(|e| rejected(&e))?;
-    let (snap, degraded) = query_snapshot(state)?;
+    let snap = read_snapshot(state)?;
     // Canonical chain key: the qualified link list in order plus the
     // budget (links came from `qualify`, so the tenant is embedded).
     let key = format!("c|{budget:?}|{}", chain_key);
-    let est = cached_estimate(state, &snap, degraded.is_some(), &key, || {
-        query.estimate_at(&snap, budget)
-    })?;
-    Ok(answer_json(state, &snap, est, degraded, query.streams()))
+    let est = cached_estimate(state, &snap, &key, || query.estimate_at(&snap, budget))?;
+    Ok(answer_json(state, &snap, est, query.streams()))
 }
 
 fn handle_streams(state: &ServerState, req: &Request) -> Handled {

@@ -499,6 +499,218 @@ fn fleet_daemon_degrades_and_recovers_over_http() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A two-shard daemon that publishes only on register, checkpoint,
+/// startup, failure and generation moves: an ingest never reaches the
+/// `publish_every` threshold in these tests.
+fn quiet_fleet(dir: &std::path::Path) -> Server {
+    let opts = ServeOptions {
+        shards: 2,
+        publish_every: 1_000_000,
+        ..ServeOptions::default()
+    };
+    Server::start(dir, "127.0.0.1:0", opts).unwrap().0
+}
+
+/// `count` distinct values in `0..32` that route to `shard`, one per line.
+fn rows_on_shard(server: &Server, shard: usize, count: usize) -> String {
+    let rows: Vec<String> = (0..32i64)
+        .filter(|v| server.with_fleet(|f| f.route(&[*v])) == Some(shard))
+        .take(count)
+        .map(|v| format!("{v}\n"))
+        .collect();
+    assert_eq!(rows.len(), count, "too few values route to shard {shard}");
+    rows.concat()
+}
+
+/// Ship every follower to parity.
+fn ship_to_parity(server: &Server) {
+    server
+        .with_fleet(|f| {
+            while f
+                .ship_and_replay()
+                .unwrap()
+                .iter()
+                .any(|r| r.budget_exhausted || r.bytes_shipped > 0)
+            {}
+        })
+        .expect("fleet backend");
+}
+
+/// Fleet reads answer from the published merged snapshot: on an idle
+/// fleet, back-to-back answers read the same epoch.
+#[test]
+fn fleet_idle_answers_share_the_published_epoch() {
+    let dir = tmp_dir("fleet_idle");
+    let server = quiet_fleet(&dir);
+    let addr = server.local_addr();
+    register_cosine(addr, "default", "l");
+    let rows: String = (0..40).map(|v| format!("{}\n", v % 32)).collect();
+    assert_eq!(ingest(addr, "default", "l", &rows).0, 200);
+    let (s1, first) = request(addr, "GET", "/v1/estimate?left=l&right=l", "");
+    let (s2, second) = request(addr, "GET", "/v1/estimate?left=l&right=l", "");
+    assert_eq!((s1, s2), (200, 200), "{first} / {second}");
+    assert_eq!(
+        json_num(&first, "epoch"),
+        json_num(&second, "epoch"),
+        "an idle fleet must not mint an epoch per answer: {first} / {second}"
+    );
+    assert_eq!(json_num(&first, "epoch"), server.published_epoch() as f64);
+    server.shutdown(false);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A kill and a promotion reach the very next answer, with no ingest
+/// (and so no publish) in between: they move the fleet generation.
+#[test]
+fn fleet_kill_and_promote_reach_the_next_answer() {
+    let dir = tmp_dir("fleet_generation");
+    let server = quiet_fleet(&dir);
+    let addr = server.local_addr();
+    register_cosine(addr, "default", "l");
+    let rows: String = (0..40).map(|v| format!("{}\n", v % 32)).collect();
+    assert_eq!(ingest(addr, "default", "l", &rows).0, 200);
+    let estimate = || request(addr, "GET", "/v1/estimate?left=l&right=l", "");
+    // The ingest did not publish: the answer trails by its 40 rows.
+    let (_, body) = estimate();
+    assert!(body.contains("\"degraded\":[]"), "{body}");
+    assert_eq!(json_num(&body, "records_behind"), 40.0, "{body}");
+
+    ship_to_parity(&server);
+    server.with_fleet(|f| f.kill(1).unwrap()).unwrap();
+    let (status, body) = estimate();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"degraded\":[{\"shard\":1,"), "{body}");
+    assert_eq!(json_num(&body, "records_behind"), 0.0, "{body}");
+
+    server.with_fleet(|f| f.promote(1).unwrap()).unwrap();
+    let (status, body) = estimate();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"degraded\":[]"), "{body}");
+    server.shutdown(false);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Fleet answers trail by up to `publish_every` rows and say so:
+/// `records_behind` is exactly the rows ingested since the last publish,
+/// after a reopen and after a batch that failed on a killed shard once
+/// the live shard had applied its part.
+#[test]
+fn fleet_records_behind_counts_rows_since_the_last_publish() {
+    let dir = tmp_dir("fleet_behind");
+    let estimate = |addr| request(addr, "GET", "/v1/estimate?left=l&right=l", "");
+
+    // Reopen: the restarted daemon's first publish already holds the
+    // recovered rows, so only the rows after it are behind.
+    let server = quiet_fleet(&dir);
+    let addr = server.local_addr();
+    register_cosine(addr, "default", "l");
+    let rows: String = (0..60).map(|v| format!("{}\n", v % 32)).collect();
+    assert_eq!(ingest(addr, "default", "l", &rows).0, 200);
+    server.shutdown(true);
+    let server = quiet_fleet(&dir);
+    let addr = server.local_addr();
+    let (_, body) = estimate(addr);
+    assert_eq!(json_num(&body, "records_behind"), 0.0, "{body}");
+    assert_eq!(ingest(addr, "default", "l", "1\n2\n3\n4\n5\n").0, 200);
+    let (_, body) = estimate(addr);
+    assert_eq!(json_num(&body, "records_behind"), 5.0, "{body}");
+    assert_eq!(json_num(&body, "gross_weight_behind"), 5.0, "{body}");
+
+    // Partial failure: shard 1 is dead, so a batch routed to both
+    // shards fails after shard 0 applied (and synced) its part.
+    ship_to_parity(&server);
+    server.with_fleet(|f| f.kill(1).unwrap()).unwrap();
+    let both = format!(
+        "{}{}",
+        rows_on_shard(&server, 0, 4),
+        rows_on_shard(&server, 1, 4)
+    );
+    let (status, body) = ingest(addr, "default", "l", &both);
+    assert_eq!(status, 422, "{body}");
+    let (_, body) = estimate(addr);
+    assert_eq!(json_num(&body, "records_behind"), 0.0, "{body}");
+    let live = rows_on_shard(&server, 0, 3);
+    assert_eq!(ingest(addr, "default", "l", &live).0, 200);
+    let (_, body) = estimate(addr);
+    assert_eq!(json_num(&body, "records_behind"), 3.0, "{body}");
+    assert!(body.contains("\"degraded\":[{\"shard\":1,"), "{body}");
+    server.shutdown(false);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The reject-rate quarantine covers the fleet too: past the threshold
+/// the stream is quarantined on every shard, so checkpoints and further
+/// ingest are refused, and answers naming it read each shard's
+/// checkpointed summary and carry the stream's `degraded` entries.
+#[test]
+fn fleet_reject_threshold_quarantines_the_stream() {
+    let dir = tmp_dir("fleet_quarantine");
+    let server = quiet_fleet(&dir);
+    let addr = server.local_addr();
+    register_cosine(addr, "default", "l");
+    register_cosine(addr, "default", "r");
+    let rows: String = (0..40).map(|v| format!("{}\n", (v * 3) % 32)).collect();
+    assert_eq!(ingest(addr, "default", "l", &rows).0, 200);
+    assert_eq!(ingest(addr, "default", "r", &rows).0, 200);
+    let (status, body) = request(addr, "POST", "/v1/checkpoint", "");
+    assert_eq!(status, 200, "{body}");
+    let (_, body) = request(addr, "GET", "/v1/estimate?left=l&right=r", "");
+    let at_checkpoint = json_num(&body, "estimate");
+
+    // Post-checkpoint rows, then a batch that trips the threshold
+    // after applying its one good row (7).
+    assert_eq!(ingest(addr, "default", "l", "1\n2\n3:2.5\n4\n5\n").0, 200);
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/ingest?stream=l&reject_threshold=0.5",
+        "bad\nworse\n7\n",
+    );
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("quarantined"), "{body}");
+
+    let (status, body) = request(addr, "POST", "/v1/checkpoint", "");
+    assert_eq!(
+        status, 422,
+        "quarantined stream must block checkpoint: {body}"
+    );
+    let (status, body) = ingest(addr, "default", "l", "9\n");
+    assert_eq!(status, 422, "quarantined stream must refuse ingest: {body}");
+
+    // One entry per shard, in shard order. Each shard's checkpoint
+    // covers its two registrations plus its share of the 80 rows; its
+    // staleness is its share of the six post-checkpoint rows.
+    let on = |v: i64| server.with_fleet(|f| f.route(&[v])).unwrap();
+    let entry = |shard: usize| {
+        let pre = (0..40).filter(|v| on((v * 3) % 32) == shard).count() * 2;
+        let post: Vec<(i64, f64)> = [(1, 1.0), (2, 1.0), (3, 2.5), (4, 1.0), (5, 1.0), (7, 1.0)]
+            .into_iter()
+            .filter(|(v, _)| on(*v) == shard)
+            .collect();
+        format!(
+            "{{\"stream\":\"default/l\",\"state\":\"quarantined\",\"checkpoint_watermark\":{},\
+             \"records_behind\":{},\"gross_weight_behind\":{}}}",
+            2 + pre,
+            post.len(),
+            post.iter().map(|(_, w)| w).sum::<f64>()
+        )
+    };
+    let expected = format!("\"degraded\":[{},{}]", entry(0), entry(1));
+    let (status, body) = request(addr, "GET", "/v1/estimate?left=l&right=r", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&expected), "{body}\nexpected {expected}");
+    assert_eq!(
+        json_num(&body, "estimate").to_bits(),
+        at_checkpoint.to_bits(),
+        "the substitute is the checkpointed summary: {body}"
+    );
+    let (status, body) = request(addr, "GET", "/v1/estimate?left=r&right=r", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"degraded\":[]"), "{body}");
+    server.shutdown(false);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The crash leg: kill the daemon mid-ingest (no shutdown checkpoint, no
 /// final sync) and restart over the same directory. Everything the
 /// daemon acked was fsynced before the ack, so the recovered registry

@@ -34,10 +34,11 @@
 //! [`ShardedRegistry::kill`] drops a primary mid-flight (buffered,
 //! never-synced WAL bytes are lost with it — exactly a crash). Queries
 //! keep answering: [`ShardedRegistry::capture_merged_at`] substitutes
-//! the dead shard's follower state and returns its staleness
+//! the dead shard's follower state and records its staleness
 //! (`records_behind` / `gross_weight_behind` versus the primary's last
-//! published watermark) beside the merged snapshot, bumping
-//! `fleet.degraded_answers_total`. A live shard's quarantined stream is
+//! published watermark) in the merged snapshot
+//! ([`crate::RegistrySnapshot::dead_shards`]), so the attribution travels
+//! with the capture it describes. A live shard's quarantined stream is
 //! attributed inside the merged snapshot itself
 //! ([`crate::RegistrySnapshot::attribution`]), because each primary's
 //! [`crate::DurableProcessor::capture_snapshot`] already substitutes
@@ -47,7 +48,23 @@
 //! directory as the new primary through the ordinary recovery path,
 //! checkpoints to start the new epoch at a clean anchor, and attaches a
 //! fresh follower — all stamped into the manifest as epoch E+1.
+//!
+//! ## Publishing merged captures
+//!
+//! A merged capture locks every shard in turn, so readers do not take
+//! one per query: the serve daemon publishes a capture after every
+//! `publish_every` ingested rows (and on register, checkpoint and
+//! startup), and readers clone it out of a [`crate::SnapshotCell`].
+//! Changes no ingest publishes — [`ShardedRegistry::kill`],
+//! [`ShardedRegistry::promote`], [`ShardedRegistry::ship_and_replay`]
+//! and [`ShardedRegistry::quarantine_stream`] — bump the fleet
+//! [`ShardedRegistry::generation`] after they take effect. A capture
+//! stamps the generation it read *before* locking any shard, so a
+//! published snapshot whose [`crate::RegistrySnapshot::generation`]
+//! equals the fleet's has seen every such change, and a reader that
+//! finds it behind republishes first.
 
+use crate::health::HealthCause;
 use crate::processor::Summary;
 use crate::recovery::{DurableProcessor, RecoveryOptions};
 use crate::ship::{Follower, SegmentShipper, ShipOptions, ShipReport, ShipWatermark};
@@ -56,6 +73,7 @@ use crate::wal::{DirStorage, WalStorage};
 use dctstream_core::{DctError, Result};
 use dctstream_obs::frame::{self, FrameError, Reader, Truncated};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// File name of the fleet manifest inside the fleet root.
@@ -273,6 +291,9 @@ pub struct ShardedRegistry {
     root: PathBuf,
     slots: Vec<Mutex<ShardSlot>>,
     opts: FleetOptions,
+    /// Bumped after every change to what a merged capture reads that no
+    /// ingest publishes (see the module docs).
+    generation: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedRegistry {
@@ -324,7 +345,12 @@ impl ShardedRegistry {
             .write_atomic(FLEET_MANIFEST_FILE, &manifest.to_bytes())
             .map_err(|e| fleet_err(format!("writing {FLEET_MANIFEST_FILE}: {e}")))?;
         dctstream_obs::gauge_set!("fleet.shards", shards as f64);
-        Ok(ShardedRegistry { root, slots, opts })
+        Ok(ShardedRegistry {
+            root,
+            slots,
+            opts,
+            generation: AtomicU64::new(0),
+        })
     }
 
     /// Re-open an existing fleet from its manifest. A shard whose
@@ -343,7 +369,12 @@ impl ShardedRegistry {
         for meta in &manifest.shards {
             slots.push(Mutex::new(Self::open_slot(&root, meta, &opts)?));
         }
-        let fleet = ShardedRegistry { root, slots, opts };
+        let fleet = ShardedRegistry {
+            root,
+            slots,
+            opts,
+            generation: AtomicU64::new(0),
+        };
         // Bring followers to parity, then re-anchor both sides of every
         // pair together so staleness accounting starts exact from here.
         for _ in 0..64 {
@@ -418,6 +449,18 @@ impl ShardedRegistry {
     /// The fleet root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// The fleet generation: it moves after every kill, promotion,
+    /// shipping round and stream quarantine, and never on ingest.
+    /// Compare with [`RegistrySnapshot::generation`] to tell whether a
+    /// published capture may miss one of them.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    fn bump_generation(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Deterministic routing: FNV-1a over the tuple's little-endian
@@ -548,29 +591,51 @@ impl ShardedRegistry {
         Ok(retired)
     }
 
+    /// Quarantine `stream` on every live shard, recording `cause` (see
+    /// [`DurableProcessor::quarantine_stream`]): checkpoints then refuse,
+    /// ingest into the stream is refused, and captures answer it from
+    /// each shard's last checkpoint. A dead shard is skipped; its
+    /// follower never ingests. Stops at the first shard that refuses.
+    pub fn quarantine_stream(&self, stream: &str, cause: HealthCause) -> Result<()> {
+        let outcome = self
+            .slots
+            .iter()
+            .try_for_each(|slot| match lock(slot).primary.as_mut() {
+                Some(dp) => dp.quarantine_stream(stream, cause.clone()).map(drop),
+                None => Ok(()),
+            });
+        self.bump_generation();
+        outcome
+    }
+
     /// One bounded shipping round per shard, followed by follower
     /// replay, retention-pin advance, and (for live shards) a publish.
     /// Shards whose primary is down still ship — the shipper reads the
     /// dead primary's directory directly, which is the whole point of
     /// shipping durable bytes rather than live state.
     pub fn ship_and_replay(&self) -> Result<Vec<ShipReport>> {
-        let mut reports = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let mut s = lock(slot);
-            let report = s.shipper.ship_once()?;
-            if report.dst_truncated {
-                s.follower.reset()?;
-            } else {
-                s.follower.replay_new()?;
-            }
-            let acked = s.follower.applied_seq();
-            if let Some(dp) = s.primary.as_mut() {
-                dp.pin_wal_retention(FOLLOWER_PIN, acked);
-            }
-            s.publish();
-            reports.push(report);
-        }
-        Ok(reports)
+        let reports = self
+            .slots
+            .iter()
+            .map(|slot| {
+                let mut s = lock(slot);
+                let report = s.shipper.ship_once()?;
+                if report.dst_truncated {
+                    s.follower.reset()?;
+                } else {
+                    s.follower.replay_new()?;
+                }
+                let acked = s.follower.applied_seq();
+                if let Some(dp) = s.primary.as_mut() {
+                    dp.pin_wal_retention(FOLLOWER_PIN, acked);
+                }
+                s.publish();
+                Ok(report)
+            })
+            .collect();
+        // Followers may have moved even if a later shard failed.
+        self.bump_generation();
+        reports
     }
 
     /// Kill a shard's primary in place: the in-memory registry and any
@@ -586,6 +651,7 @@ impl ShardedRegistry {
             )));
         }
         s.down_cause = Some("killed by fault injection".into());
+        self.bump_generation();
         dctstream_obs::counter_add!("fleet.kills", 1);
         Ok(s.published)
     }
@@ -621,11 +687,15 @@ impl ShardedRegistry {
     /// Capture one merged fleet snapshot at `epoch` (the serve daemon
     /// stamps merged snapshots with its snapshot-cell epochs): live
     /// shards contribute a primary snapshot; dead shards substitute
-    /// their follower's replayed state, attributed in the returned
-    /// staleness list. Locks are taken per shard in id order and
-    /// released between shards — the merge is a moment-in-time
-    /// composite, with any skew bounded by the reported staleness.
+    /// their follower's replayed state, attributed in the staleness list
+    /// that the snapshot carries ([`RegistrySnapshot::dead_shards`]) and
+    /// that is also returned beside it. The snapshot is stamped with the
+    /// generation read before the first lock. Locks are taken per shard
+    /// in id order and released between shards — the merge is a
+    /// moment-in-time composite, with any skew bounded by the reported
+    /// staleness.
     pub fn capture_merged_at(&self, epoch: u64) -> Result<(RegistrySnapshot, Vec<ShardStaleness>)> {
+        let generation = self.generation();
         let mut parts = Vec::with_capacity(self.slots.len());
         let mut degraded = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
@@ -644,10 +714,9 @@ impl ShardedRegistry {
             }
         }
         let refs: Vec<&RegistrySnapshot> = parts.iter().collect();
-        let merged = RegistrySnapshot::merged(epoch, &refs)?;
-        if !degraded.is_empty() {
-            dctstream_obs::counter_add!("fleet.degraded_answers_total", 1);
-        }
+        let mut merged = RegistrySnapshot::merged(epoch, &refs)?;
+        merged.generation = generation;
+        merged.dead_shards = degraded.clone();
         Ok((merged, degraded))
     }
 
@@ -747,6 +816,7 @@ impl ShardedRegistry {
         let watermark = s.published.seq;
         let (id, primary_dir, follower_dir) = (s.id, s.primary_dir.clone(), s.follower_dir.clone());
         drop(s);
+        self.bump_generation();
         self.rewrite_manifest(id, epoch, primary_dir, follower_dir)?;
         dctstream_obs::counter_add!("fleet.promotions_total", 1);
         Ok(PromotionReport {
@@ -1004,6 +1074,50 @@ mod tests {
             behind
         );
         assert!(snap.attribution(["r"]).is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn generation_moves_on_topology_changes_and_never_on_ingest() {
+        let dir = tmp("generation");
+        let fleet = ShardedRegistry::create(&dir, 2, FleetOptions::default()).unwrap();
+        fleet.register("l", cosine(64, 16)).unwrap();
+        let g = fleet.generation();
+        fleet.ingest("l", &rows(100, 64, 1, 1.0)).unwrap();
+        fleet.process_weighted("l", &[3], 1.0).unwrap();
+        assert_eq!(fleet.generation(), g, "ingest must not move the generation");
+        assert_eq!(fleet.capture_merged_at(1).unwrap().0.generation(), g);
+
+        let mut last = g;
+        let mut moved = |what: &str| {
+            let now = fleet.generation();
+            assert!(now > last, "{what} must move the generation");
+            last = now;
+        };
+        fleet.ship_and_replay().unwrap();
+        moved("ship_and_replay");
+        fleet.kill(1).unwrap();
+        moved("kill");
+        // The dead-shard list travels inside the capture it describes.
+        let (snap, dead) = fleet.capture_merged_at(2).unwrap();
+        assert_eq!(dead.len(), 1);
+        assert_eq!(dead[0].shard, 1);
+        assert_eq!(snap.dead_shards(), &dead[..]);
+        fleet.promote(1).unwrap();
+        moved("promote");
+        fleet
+            .quarantine_stream(
+                "l",
+                crate::HealthCause::WalAppendFailed {
+                    detail: "injected".into(),
+                },
+            )
+            .unwrap();
+        moved("quarantine_stream");
+        // A capture is stamped with the generation it read first.
+        let (snap, dead) = fleet.capture_merged_at(3).unwrap();
+        assert_eq!(snap.generation(), fleet.generation());
+        assert!(dead.is_empty() && snap.dead_shards().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -24,6 +24,10 @@
 //! registry with health supervision) and
 //! [`crate::ShardedRegistry::capture_merged_at`] (a fleet);
 //! [`crate::SharedProcessor::publish`] captures into a [`SnapshotCell`].
+//! A fleet capture also carries the dead shards its followers answered
+//! for ([`RegistrySnapshot::dead_shards`]) and the fleet generation it
+//! was taken at ([`RegistrySnapshot::generation`]), so a published
+//! fleet snapshot is read exactly like a single registry's.
 //!
 //! A **degraded** stream (`Quarantined` or `Repairing`) is a snapshot
 //! member like any other, captured from its last checkpointed summary
@@ -45,6 +49,7 @@
 
 use crate::health::StreamStaleness;
 use crate::processor::{StreamProcessor, Summary};
+use crate::shard::ShardStaleness;
 use dctstream_core::{estimate_equi_join, DctError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,6 +108,10 @@ pub struct RegistrySnapshot {
     /// Degraded streams with no substitute, with the reason; estimates
     /// naming one fail with [`DctError::StreamQuarantined`].
     withheld: Vec<(String, String)>,
+    /// Fleet captures: the dead shards whose followers stood in.
+    pub(crate) dead_shards: Vec<ShardStaleness>,
+    /// Fleet captures: the fleet generation read before the capture.
+    pub(crate) generation: u64,
 }
 
 /// Skimmed sketches answer only once prepared; snapshots prepare theirs
@@ -126,6 +135,8 @@ impl RegistrySnapshot {
             total: StreamStats::default(),
             substituted: Vec::new(),
             withheld: Vec::new(),
+            dead_shards: Vec::new(),
+            generation: 0,
         }
     }
 
@@ -149,6 +160,8 @@ impl RegistrySnapshot {
             total: processor.total_update_stats(),
             substituted: Vec::new(),
             withheld: Vec::new(),
+            dead_shards: Vec::new(),
+            generation: 0,
         })
     }
 
@@ -231,6 +244,20 @@ impl RegistrySnapshot {
             dctstream_obs::gauge_set!("staleness.gross_weight_behind", worst_gross);
         }
         found
+    }
+
+    /// The dead fleet shards whose followers answered for them in this
+    /// capture, with their staleness (empty outside a fleet).
+    pub fn dead_shards(&self) -> &[ShardStaleness] {
+        &self.dead_shards
+    }
+
+    /// The fleet generation ([`crate::ShardedRegistry::generation`]) read
+    /// before this capture was taken; 0 outside a fleet. A snapshot whose
+    /// generation trails the fleet's may miss a kill, promotion,
+    /// shipping round or quarantine.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The captured cumulative update totals for one stream.
@@ -444,6 +471,16 @@ impl Progress {
                 Err(seen) => cur = seen,
             }
         }
+    }
+
+    /// Raise the totals to at least `floor` (never lowers them), e.g. to
+    /// count updates a failed batch applied before it failed.
+    pub fn raise_to(&self, floor: StreamStats) {
+        let now = self.totals();
+        self.add(
+            floor.records.saturating_sub(now.records),
+            (floor.gross_weight - now.gross_weight).max(0.0),
+        );
     }
 
     /// The totals so far.
