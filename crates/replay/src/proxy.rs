@@ -13,7 +13,7 @@
 use crate::client::Client;
 use crate::trace::{ChainLink, RegisterKind, TraceOp, TraceRecord, TraceWriter};
 use crate::ReplayError;
-use dctstream_serve::http::{read_request, Request};
+use dctstream_serve::http::{read_request, respond, Request, Status};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -202,21 +202,20 @@ fn rebuild_target(req: &Request) -> String {
     format!("{}?{}", req.path, pairs.join("&"))
 }
 
-fn relay(w: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    let text = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        429 => "Too Many Requests",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        _ => "Response",
+/// Relay one answer downstream through the daemon's own writer. Codes
+/// the proxy names keep their reason phrase; any other upstream code
+/// goes out as `<code> Response`.
+fn relay<W: Write>(w: &mut W, code: u16, body: &str) -> std::io::Result<()> {
+    let status = match code {
+        200 => Status::Ok,
+        400 => Status::BadRequest,
+        404 => Status::NotFound,
+        429 => Status::TooManyRequests,
+        502 => Status::BadGateway,
+        503 => Status::Unavailable,
+        other => Status::Other(other),
     };
-    write!(
-        w,
-        "HTTP/1.1 {status} {text}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-        body.len()
-    )
+    respond(w, status, "application/json", body, true)
 }
 
 /// Map a request onto a trace operation, or `None` when the route is
@@ -381,6 +380,28 @@ mod tests {
         let r = req("GET", "/v1/estimate", &[("left", "a"), ("right", "b")]);
         assert_eq!(rebuild_target(&r), "/v1/estimate?left=a&right=b");
         assert_eq!(rebuild_target(&req("GET", "/metrics", &[])), "/metrics");
+    }
+
+    #[test]
+    fn relay_keeps_the_proxy_status_lines() {
+        let body = "{\"ok\":1}";
+        for (code, line) in [
+            (200, "200 OK"),
+            (400, "400 Bad Request"),
+            (404, "404 Not Found"),
+            (422, "422 Response"),
+            (429, "429 Too Many Requests"),
+            (502, "502 Bad Gateway"),
+            (503, "503 Service Unavailable"),
+        ] {
+            let mut out = Vec::new();
+            relay(&mut out, code, body).unwrap();
+            let expected = format!(
+                "HTTP/1.1 {line}\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
+                 Connection: keep-alive\r\n\r\n{body}"
+            );
+            assert_eq!(String::from_utf8(out).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -146,7 +146,8 @@ fn decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// HTTP status lines the daemon emits.
+/// HTTP status lines the daemon (and the recording proxy in front of
+/// it) emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
     /// 200.
@@ -163,28 +164,55 @@ pub enum Status {
     TooManyRequests,
     /// 500 — internal failure.
     Internal,
+    /// 502 — a proxy's upstream failed mid-exchange.
+    BadGateway,
     /// 503 — admission control rejected the connection.
     Unavailable,
+    /// Any other code, relayed with the generic reason `Response`.
+    Other(u16),
 }
 
 impl Status {
-    fn line(self) -> &'static str {
+    /// The numeric status code.
+    fn code(self) -> u16 {
         match self {
-            Status::Ok => "200 OK",
-            Status::BadRequest => "400 Bad Request",
-            Status::NotFound => "404 Not Found",
-            Status::MethodNotAllowed => "405 Method Not Allowed",
-            Status::Unprocessable => "422 Unprocessable Entity",
-            Status::TooManyRequests => "429 Too Many Requests",
-            Status::Internal => "500 Internal Server Error",
-            Status::Unavailable => "503 Service Unavailable",
+            Status::Ok => 200,
+            Status::BadRequest => 400,
+            Status::NotFound => 404,
+            Status::MethodNotAllowed => 405,
+            Status::Unprocessable => 422,
+            Status::TooManyRequests => 429,
+            Status::Internal => 500,
+            Status::BadGateway => 502,
+            Status::Unavailable => 503,
+            Status::Other(code) => code,
+        }
+    }
+
+    /// The reason phrase after the code on the status line.
+    fn reason(self) -> &'static str {
+        match self {
+            Status::Ok => "OK",
+            Status::BadRequest => "Bad Request",
+            Status::NotFound => "Not Found",
+            Status::MethodNotAllowed => "Method Not Allowed",
+            Status::Unprocessable => "Unprocessable Entity",
+            Status::TooManyRequests => "Too Many Requests",
+            Status::Internal => "Internal Server Error",
+            Status::BadGateway => "Bad Gateway",
+            Status::Unavailable => "Service Unavailable",
+            Status::Other(_) => "Response",
         }
     }
 }
 
-/// Write one response. `keep_alive` mirrors what the connection loop
-/// intends to do next, so clients can pipeline against the advertised
-/// header.
+/// Write one response — status line, headers and body — in a single
+/// `write_all` of one buffer. The daemon sets `TCP_NODELAY` on every
+/// accepted socket, so each `write` on it leaves as its own segment and
+/// wakes the client once; formatting straight onto the socket would
+/// send a ten-piece answer as ten segments. `keep_alive` mirrors what
+/// the connection loop intends to do next, so clients can pipeline
+/// against the advertised header.
 pub fn respond<W: Write>(
     w: &mut W,
     status: Status,
@@ -193,15 +221,16 @@ pub fn respond<W: Write>(
     keep_alive: bool,
 ) -> io::Result<()> {
     let conn = if keep_alive { "keep-alive" } else { "close" };
+    let mut buf = Vec::with_capacity(128 + content_type.len() + body.len());
     write!(
-        w,
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        status.line(),
-        content_type,
+        buf,
+        "HTTP/1.1 {} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {conn}\r\n\r\n",
+        status.code(),
+        status.reason(),
         body.len(),
-        conn
     )?;
-    w.write_all(body.as_bytes())?;
+    buf.extend_from_slice(body.as_bytes());
+    w.write_all(&buf)?;
     w.flush()
 }
 
@@ -257,15 +286,82 @@ mod tests {
         assert!(read_request(&mut r).is_err());
     }
 
+    /// A sink that counts `write` calls: on a `TCP_NODELAY` socket each
+    /// one is a segment and a client wake-up.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn respond_is_one_write_for_every_status_and_body_size() {
+        let big = "x".repeat(64 * 1024 + 1);
+        let statuses = [
+            Status::Ok,
+            Status::BadRequest,
+            Status::NotFound,
+            Status::MethodNotAllowed,
+            Status::Unprocessable,
+            Status::TooManyRequests,
+            Status::Internal,
+            Status::BadGateway,
+            Status::Unavailable,
+            Status::Other(418),
+        ];
+        for status in statuses {
+            for body in ["", big.as_str()] {
+                for keep_alive in [true, false] {
+                    let mut w = CountingWriter::default();
+                    respond(&mut w, status, "application/json", body, keep_alive).unwrap();
+                    assert_eq!(w.writes, 1, "{status:?}, {}-byte body", body.len());
+                    assert!(w.bytes.ends_with(body.as_bytes()));
+                }
+            }
+        }
+    }
+
+    /// The exact bytes of a 200 and a 503 answer, pinned so the framing
+    /// cannot drift.
     #[test]
     fn respond_frames_a_body() {
         let mut out = Vec::new();
-        respond(&mut out, Status::Ok, "text/plain", "hi", true).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(s.contains("Content-Length: 2\r\n"));
-        assert!(s.contains("Connection: keep-alive"));
-        assert!(s.ends_with("\r\n\r\nhi"));
+        let body = "{\"estimate\":1234.5,\"epoch\":7}";
+        respond(&mut out, Status::Ok, "application/json", body, true).unwrap();
+        assert_eq!(
+            out,
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+              Content-Length: 29\r\nConnection: keep-alive\r\n\r\n\
+              {\"estimate\":1234.5,\"epoch\":7}"
+        );
+        let mut out = Vec::new();
+        let body = "{\"error\":\"server saturated; retry\"}";
+        respond(
+            &mut out,
+            Status::Unavailable,
+            "application/json",
+            body,
+            false,
+        )
+        .unwrap();
+        assert_eq!(
+            out,
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+              Content-Length: 35\r\nConnection: close\r\n\r\n\
+              {\"error\":\"server saturated; retry\"}"
+        );
     }
 
     #[test]

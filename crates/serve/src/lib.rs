@@ -655,7 +655,7 @@ fn accept_loop(state: &ServerState, listener: TcpListener) {
                     // queue is full. Fail fast with a retryable status
                     // instead of queueing unboundedly.
                     dctstream_obs::counter_add!("serve.rejected", 1);
-                    let _ = respond(
+                    let _ = send(
                         &mut rejected.writer,
                         Status::Unavailable,
                         "application/json",
@@ -769,7 +769,7 @@ fn serve_request(state: &ServerState, conn: &mut Conn) -> Turn {
         Ok(None) => return Turn::Close,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             let body = format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string()));
-            let _ = respond(
+            let _ = send(
                 &mut conn.writer,
                 Status::BadRequest,
                 "application/json",
@@ -791,7 +791,7 @@ fn serve_request(state: &ServerState, conn: &mut Conn) -> Turn {
     if status != Status::Ok {
         dctstream_obs::counter_add!("serve.request_errors", 1);
     }
-    if respond(&mut conn.writer, status, content_type, &body, keep).is_err() {
+    if send(&mut conn.writer, status, content_type, &body, keep).is_err() {
         return Turn::Close;
     }
     if keep {
@@ -799,6 +799,21 @@ fn serve_request(state: &ServerState, conn: &mut Conn) -> Turn {
     } else {
         Turn::Close
     }
+}
+
+/// Write one response under the `serve.respond` span. Every daemon
+/// answer goes through here — the routed ones, the 400 for an
+/// unparseable request and the accept loop's 503 — so the histogram
+/// times every socket write.
+fn send(
+    w: &mut TcpStream,
+    status: Status,
+    content_type: &str,
+    body: &str,
+    keep_alive: bool,
+) -> io::Result<()> {
+    let _span = dctstream_obs::span!("serve.respond");
+    respond(w, status, content_type, body, keep_alive)
 }
 
 /// The routes a tenant quota meters: everything that does registry work

@@ -4,7 +4,7 @@
 //! bit-identically for everything it acked.
 
 use dctstream_serve::{ServeOptions, Server};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -229,6 +229,93 @@ fn protocol_errors_are_status_codes_not_hangs() {
     let (status, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     assert!(metrics.contains("serve_requests_total"), "{metrics}");
+    server.shutdown(false);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Read one response off a keep-alive connection by its framing alone:
+/// status line, headers, then exactly `Content-Length` body bytes.
+fn read_framed(reader: &mut BufReader<TcpStream>) -> (String, usize, String) {
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line).unwrap();
+    let mut content_length = None;
+    loop {
+        let mut h = String::new();
+        reader.read_line(&mut h).unwrap();
+        let h = h.trim_end();
+        if h.is_empty() {
+            break;
+        }
+        if let Some(v) = h.strip_prefix("Content-Length: ") {
+            content_length = Some(v.parse::<usize>().unwrap());
+        }
+    }
+    let len = content_length.expect("Content-Length header");
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).unwrap();
+    (status_line, len, String::from_utf8(body).unwrap())
+}
+
+/// An estimate answer read off a raw socket is one well-framed response:
+/// its `Content-Length` is the body's length, and the next answer on the
+/// same keep-alive connection starts right after it.
+#[test]
+fn estimate_answer_is_framed_by_its_content_length() {
+    let dir = tmp_dir("framing");
+    let (server, _) = Server::start(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = server.local_addr();
+    register_cosine(addr, "acme", "l");
+    assert_eq!(ingest(addr, "acme", "l", "1\n2\n3:2.5\n").0, 200);
+    // A checkpoint publishes, so the estimate sees the rows.
+    assert_eq!(request(addr, "POST", "/v1/checkpoint", "").0, 200);
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for _ in 0..2 {
+        conn.write_all(b"GET /v1/estimate?tenant=acme&left=l&right=l HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let (status_line, len, body) = read_framed(&mut reader);
+        assert_eq!(status_line, "HTTP/1.1 200 OK\r\n");
+        assert_eq!(len, body.len());
+        assert!(body.starts_with('{') && body.ends_with('}'), "{body}");
+        assert!(json_num(&body, "estimate") > 0.0, "{body}");
+    }
+    drop((conn, reader));
+    server.shutdown(false);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `serve.respond` times every response write, the 400 for an
+/// unparseable request included, and `/metrics` exports it.
+#[test]
+fn respond_stage_is_exported_through_metrics() {
+    let dir = tmp_dir("respond_span");
+    let (server, _) = Server::start(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = server.local_addr();
+    let respond_count = |metrics: &str| -> u64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("dctstream_serve_respond_count "))
+            .unwrap_or_else(|| panic!("no serve.respond histogram in {metrics}"))
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(request(addr, "GET", "/healthz", "").0, 200);
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let before = respond_count(&metrics);
+    assert!(before >= 1, "{metrics}");
+    assert!(
+        metrics.contains("dctstream_serve_respond_bucket{le="),
+        "{metrics}"
+    );
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(b"GARBAGE\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{raw}");
+    // The first /metrics answer and the 400 were both written since.
+    let after = respond_count(&request(addr, "GET", "/metrics", "").1);
+    assert!(after >= before + 2, "{before} -> {after}");
     server.shutdown(false);
     std::fs::remove_dir_all(&dir).ok();
 }
