@@ -23,8 +23,8 @@
 //!   silent skip.
 //! - [`run`](mod@run) — the streaming driver: decode bytes → split fields → check
 //!   arity → normalize values → feed a [`RowSink`]
-//!   (`ParallelIngest`-batched synopses, the group-commit WAL via
-//!   `DurableProcessor`, or `ShardedRegistry` fleet batches), with a
+//!   (`ParallelIngest`-batched synopses, or the group-commit WAL via
+//!   `DurableProcessor`), with a
 //!   configurable reject-rate threshold that quarantines the stream
 //!   through the existing `HealthRegistry` when crossed.
 
@@ -41,7 +41,7 @@ pub use csv::{parse_delimiter, split_fields, split_fields_into, RawField, SplitE
 pub use probe::{probe, ProbeOptions, ProbeReport};
 pub use reject::{IntakeReport, Reject, RejectCause, RejectLedger};
 pub use run::{
-    run, CosineSink, CountSink, DurableSink, FleetSink, IntakeError, IntakeOptions, MultiSink,
-    RowSink, SinkError,
+    run, CosineSink, CountSink, DurableSink, IntakeError, IntakeOptions, MultiSink, RowSink,
+    SinkError,
 };
 pub use schema::{Column, ColumnType, Schema, SchemaError, ValueError};

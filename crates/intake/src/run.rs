@@ -17,15 +17,14 @@
 //! - [`DurableSink`] — per-row `DurableProcessor::process_weighted`, so
 //!   each accepted row is WAL-logged (group commit applies when the
 //!   processor is wrapped in `GroupDurable`).
-//! - [`FleetSink`] — batch into `ShardedRegistry::ingest`.
 //! - [`CountSink`] — accept and discard (the `verify` command).
 
 use crate::csv::{split_fields_into, RawField, SplitError};
 use crate::reject::{IntakeReport, RejectCause, RejectLedger};
 use crate::schema::{Schema, ValueError};
-use dctstream_core::{CosineSynopsis, DctError, Domain, MultiDimSynopsis};
+use dctstream_core::{CosineSynopsis, DctError, MultiDimSynopsis};
 use dctstream_stream::wal::WalStorage;
-use dctstream_stream::{DurableProcessor, ParallelIngest, ShardedRegistry};
+use dctstream_stream::{DurableProcessor, ParallelIngest};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::BufRead;
@@ -440,17 +439,17 @@ pub fn run<R: BufRead, S: RowSink>(
     ))
 }
 
-/// Rows buffered per `ParallelIngest`/fleet flush by [`MultiSink`] and
-/// [`FleetSink`]. One flush boundary per `FLUSH_EVERY` accepted rows
-/// keeps memory bounded on unbounded stdin streams while amortizing the
-/// per-flush fan-out cost. [`CosineSink`] has no flush boundary: its
-/// memory is bounded by the number of distinct values instead.
+/// Rows buffered per `ParallelIngest` flush by [`MultiSink`]. One flush
+/// boundary per `FLUSH_EVERY` accepted rows keeps memory bounded on
+/// unbounded stdin streams while amortizing the per-flush fan-out cost.
+/// [`CosineSink`] has no flush boundary: its memory is bounded by the
+/// number of distinct values instead.
 pub const FLUSH_EVERY: usize = 65_536;
 
 /// Largest domain for which [`CosineSink`] keeps its net weights in a
-/// dense `Vec<f64>` indexed by [`Domain::index_of`]: 8 MiB at the cap,
-/// and only the pages of values that occur are ever touched. Wider
-/// domains key a `HashMap` by value instead.
+/// dense `Vec<f64>` indexed by [`dctstream_core::Domain::index_of`]:
+/// 8 MiB at the cap, and only the pages of values that occur are ever
+/// touched. Wider domains key a `HashMap` by value instead.
 const DENSE_DOMAIN_MAX: usize = 1 << 20;
 
 /// Net weight per domain value, accumulated in arrival order.
@@ -614,9 +613,6 @@ pub struct DurableSink<'a, S: WalStorage> {
     dp: &'a mut DurableProcessor<S>,
     stream: String,
     targets: Vec<usize>,
-    /// The domain of a 1-d cosine stream, checked before each row is
-    /// logged: a buffered registry validates values only at its flush.
-    domain: Option<Domain>,
 }
 
 impl<'a, S: WalStorage> DurableSink<'a, S> {
@@ -627,103 +623,31 @@ impl<'a, S: WalStorage> DurableSink<'a, S> {
         stream: impl Into<String>,
         targets: &[usize],
     ) -> Self {
-        let stream = stream.into();
-        let domain = dp
-            .processor()
-            .summary(&stream)
-            .and_then(|s| s.as_cosine())
-            .map(CosineSynopsis::domain);
         Self {
             dp,
-            stream,
+            stream: stream.into(),
             targets: targets.to_vec(),
-            domain,
         }
     }
 }
 
 impl<S: WalStorage> RowSink for DurableSink<'_, S> {
     fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
-        if let (Some(d), [v]) = (self.domain, values) {
-            if !d.contains(*v) {
-                return Err(sink_error(
-                    DctError::ValueOutOfDomain {
-                        value: *v,
-                        domain: (d.lo(), d.hi()),
-                    },
-                    &self.targets,
-                ));
-            }
-        }
-        self.dp
-            .process_weighted(&self.stream, values, weight)
+        // Checked before the row is logged: a buffered registry would
+        // validate values only at its flush.
+        let checked = self
+            .dp
+            .processor()
+            .summary(&self.stream)
+            .map_or(Ok(()), |summary| summary.check_tuple(values));
+        checked
+            .and_then(|()| self.dp.process_weighted(&self.stream, values, weight))
             .map(|_| ())
             .map_err(|e| sink_error(e, &self.targets))
     }
 
     fn finish(&mut self) -> Result<(), DctError> {
         Ok(())
-    }
-}
-
-/// Batch accepted rows into [`ShardedRegistry::ingest`] calls.
-pub struct FleetSink<'a> {
-    fleet: &'a ShardedRegistry,
-    stream: String,
-    targets: Vec<usize>,
-    buf: Vec<(Vec<i64>, f64)>,
-    flush_every: usize,
-}
-
-impl<'a> FleetSink<'a> {
-    /// Feed registered stream `stream` of `fleet`.
-    pub fn new(fleet: &'a ShardedRegistry, stream: impl Into<String>, targets: &[usize]) -> Self {
-        Self {
-            fleet,
-            stream: stream.into(),
-            targets: targets.to_vec(),
-            buf: Vec::new(),
-            flush_every: FLUSH_EVERY,
-        }
-    }
-
-    /// Override the flush boundary.
-    pub fn with_flush_every(mut self, n: usize) -> Self {
-        self.flush_every = n.max(1);
-        self
-    }
-
-    fn flush(&mut self) -> Result<(), SinkError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        self.fleet
-            .ingest(&self.stream, &self.buf)
-            .map_err(|e| sink_error(e, &self.targets))?;
-        self.buf.clear();
-        Ok(())
-    }
-}
-
-impl RowSink for FleetSink<'_> {
-    fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
-        self.buf.push((values.to_vec(), weight));
-        if self.buf.len() >= self.flush_every {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<(), DctError> {
-        match self.flush() {
-            Ok(()) => Ok(()),
-            Err(SinkError::Fatal(e)) => Err(e),
-            // A whole-batch reject at finish has no row to attribute;
-            // surface it as the underlying parameter error.
-            Err(SinkError::Reject(cause)) => Err(DctError::InvalidParameter(format!(
-                "final flush rejected: {cause}"
-            ))),
-        }
     }
 }
 
@@ -745,7 +669,7 @@ impl RowSink for CountSink {
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType};
-    use dctstream_core::Grid;
+    use dctstream_core::{Domain, Grid};
     use std::io::Cursor;
 
     fn schema2() -> Schema {

@@ -1,15 +1,20 @@
 //! # dctstream-serve
 //!
 //! The multi-tenant estimation daemon: `dctstream serve DIR --listen
-//! ADDR` keeps a write-ahead-logged registry ([`GroupDurable`]) open and
-//! answers estimate queries over plain HTTP/1.1 (std `TcpListener`, no
-//! dependencies) **while ingest keeps running**.
+//! ADDR` keeps a write-ahead-logged [`ShardedRegistry`] open and answers
+//! estimate queries over plain HTTP/1.1 (std `TcpListener`, no
+//! dependencies) **while ingest keeps running**. By default the
+//! registry is `DIR` itself as the only shard, with no follower (the
+//! layout of a lone [`dctstream_stream::GroupDurable`] registry);
+//! `--shards N`, or a `DIR` holding a fleet manifest, serves a fleet.
 //!
 //! The concurrency design is the point of the crate:
 //!
-//! - **Writers** append through the group-commit durable registry — the
-//!   one place that takes the registry lock. An ingest request is acked
-//!   only after its WAL records are fsynced (one group fsync per batch).
+//! - **Writers** check every row against the stream's registered shape,
+//!   then append through each shard's group-commit durable registry —
+//!   the one place that takes a registry lock. An ingest request is
+//!   acked only after its WAL records are fsynced (one group fsync per
+//!   touched shard, shared with concurrent writers).
 //! - After every `publish_every` applied updates (and on register /
 //!   checkpoint / startup), the write side flushes the batch buffers
 //!   and **publishes** an immutable epoch-stamped
@@ -20,11 +25,11 @@
 //!   `gross_weight_behind`) so clients know exactly what they read, and
 //!   a `degraded` entry for each participant the snapshot answered from
 //!   a checkpoint substitute because its stream is quarantined.
-//! - A **fleet** daemon (`--shards N`) reads the same way: what it
-//!   publishes is a merged capture of every shard, carrying the dead
-//!   shards its followers answered for. A kill, promotion, shipping
-//!   round or quarantine moves the fleet's generation, and the next
-//!   reader republishes before answering, so no answer misses one.
+//! - With several shards, what the daemon publishes is a merged capture
+//!   of every shard, carrying the dead shards its followers answered
+//!   for. A kill, promotion, shipping round or quarantine moves the
+//!   registry's generation, and the next reader republishes before
+//!   answering, so no answer misses one.
 //!
 //! Tenancy is by namespace: stream names are `TENANT/STREAM`, and every
 //! endpoint takes a `tenant` parameter (default `default`) that scopes
@@ -43,8 +48,8 @@ pub mod http;
 
 use dctstream_core::{CosineSynopsis, DctError, Domain, Grid, MultiDimSynopsis};
 use dctstream_stream::{
-    ChainJoinQuery, FleetOptions, GroupDurable, Progress, RecoveryOptions, RecoveryReport,
-    RegistrySnapshot, ShardStaleness, ShardedRegistry, SnapshotCell, StreamStaleness, Summary,
+    ChainJoinQuery, FleetOptions, Progress, RecoveryOptions, RecoveryReport, RegistrySnapshot,
+    ShardStaleness, ShardedRegistry, SnapshotCell, StreamStaleness, Summary,
 };
 use http::{json_escape, respond, Request, Status};
 use std::collections::VecDeque;
@@ -55,8 +60,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use dctstream_stream::DirStorage;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -75,12 +78,15 @@ pub struct ServeOptions {
     /// Write a checkpoint during graceful shutdown (skipped by
     /// [`Server::kill`] either way).
     pub checkpoint_on_shutdown: bool,
-    /// `0` (default) serves one group-commit durable registry. `N ≥ 1`
-    /// serves a [`ShardedRegistry`] fleet of `N` shards under the data
-    /// directory instead: ingest hash-routes across shards, the daemon
-    /// publishes merged captures (coefficient vectors summed across
-    /// shards) on the same `publish_every` schedule, and answers carry a
-    /// `degraded` list attributing follower-substituted shards.
+    /// Shards of a new fleet. `0` (default) serves the data directory
+    /// itself as the only shard of a root registry, with no follower
+    /// ([`ShardedRegistry::open_root`]). `N ≥ 1` creates a fleet of `N`
+    /// shards with warm followers under the data directory: ingest
+    /// hash-routes across shards, the daemon publishes merged captures
+    /// (coefficient vectors summed across shards) on the same
+    /// `publish_every` schedule, and answers carry a `degraded` list
+    /// attributing follower-substituted shards. A directory that
+    /// already holds a fleet manifest reopens as that fleet either way.
     pub shards: usize,
     /// Per-request deadline in milliseconds: one request (header block
     /// plus body) must fully arrive within it. A plain per-read socket
@@ -361,19 +367,11 @@ impl Drop for TenantSlot<'_> {
     }
 }
 
-/// The daemon's write side: one group-commit durable registry, or a
-/// sharded fleet of them.
-#[derive(Debug)]
-enum Backend {
-    Single(GroupDurable<DirStorage>),
-    Fleet(ShardedRegistry),
-}
-
 /// Shared daemon state: the durable registry (write side), the snapshot
 /// cell (read side), and the live-progress counters tying them together.
 #[derive(Debug)]
 struct ServerState {
-    backend: Backend,
+    registry: ShardedRegistry,
     cell: SnapshotCell,
     progress: Progress,
     since_publish: AtomicU64,
@@ -392,29 +390,10 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// The single-registry write side, if this daemon serves one.
-    fn single(&self) -> Option<&GroupDurable<DirStorage>> {
-        match &self.backend {
-            Backend::Single(gd) => Some(gd),
-            Backend::Fleet(_) => None,
-        }
-    }
-
-    /// The fleet write side, if this daemon serves one.
-    fn fleet(&self) -> Option<&ShardedRegistry> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Fleet(f) => Some(f),
-        }
-    }
-
     /// Flush and publish a fresh snapshot under a new epoch.
     fn publish_now(&self) -> Result<Arc<RegistrySnapshot>> {
         let epoch = self.cell.next_epoch();
-        let snap = match &self.backend {
-            Backend::Single(gd) => Arc::new(gd.with(|dp| dp.capture_snapshot(epoch))?),
-            Backend::Fleet(fleet) => Arc::new(fleet.capture_merged_at(epoch)?.0),
-        };
+        let snap = Arc::new(self.registry.capture_merged_at(epoch)?.0);
         self.cell.store(Arc::clone(&snap));
         self.since_publish.store(0, Ordering::SeqCst);
         Ok(snap)
@@ -437,27 +416,24 @@ impl Server {
     /// Open (or recover) the registry under `dir` and start serving on
     /// `listen` (e.g. `127.0.0.1:0` for an ephemeral port). Returns once
     /// the socket is bound and the recovery replay is complete.
+    ///
+    /// A directory holding a fleet manifest reopens as that fleet; with
+    /// none, [`ServeOptions::shards`] `N ≥ 1` creates an `N`-shard fleet
+    /// and `0` opens `dir` itself as a one-shard root registry.
     pub fn start(dir: &Path, listen: &str, opts: ServeOptions) -> Result<(Server, RecoveryReport)> {
-        let recovery = RecoveryOptions {
-            flush_threshold: opts.flush_threshold,
-            ..RecoveryOptions::default()
+        let fleet_opts = FleetOptions {
+            recovery: RecoveryOptions {
+                flush_threshold: opts.flush_threshold,
+                ..RecoveryOptions::default()
+            },
+            ..FleetOptions::default()
         };
-        let (backend, report) = if opts.shards == 0 {
-            let (gd, report) = GroupDurable::open_dir(dir, recovery)?;
-            (Backend::Single(gd), report)
-        } else {
-            // Fleet mode: re-open an existing fleet under `dir`, or
-            // create one. The fleet's own open path drains shipping to
-            // parity and re-anchors staleness, so the report here only
-            // reflects that nothing needed replaying at this layer.
-            let fleet_opts = FleetOptions {
-                recovery,
-                ..FleetOptions::default()
-            };
-            let fleet = if dir
-                .join(dctstream_stream::shard::FLEET_MANIFEST_FILE)
-                .is_file()
-            {
+        let fleet_manifest = dir.join(dctstream_stream::shard::FLEET_MANIFEST_FILE);
+        let (registry, report) = if fleet_manifest.is_file() || opts.shards > 0 {
+            // The fleet's own open path drains shipping to parity and
+            // re-anchors staleness, so the report here only reflects
+            // that nothing needed replaying at this layer.
+            let fleet = if fleet_manifest.is_file() {
                 ShardedRegistry::open(dir, fleet_opts)?
             } else {
                 ShardedRegistry::create(dir, opts.shards, fleet_opts)?
@@ -471,7 +447,9 @@ impl Server {
                 quarantined: Vec::new(),
                 dropped: Vec::new(),
             };
-            (Backend::Fleet(fleet), report)
+            (fleet, report)
+        } else {
+            ShardedRegistry::open_root(dir, fleet_opts)?
         };
         let listener = TcpListener::bind(listen)
             .map_err(|e| DctError::InvalidParameter(format!("binding {listen}: {e}")))?;
@@ -483,7 +461,7 @@ impl Server {
             .map_err(|e| DctError::InvalidParameter(format!("nonblocking listener: {e}")))?;
 
         let state = Arc::new(ServerState {
-            backend,
+            registry,
             cell: SnapshotCell::new(),
             progress: Progress::new(),
             since_publish: AtomicU64::new(0),
@@ -503,20 +481,11 @@ impl Server {
             fair: opts.fair_admission,
             active: AtomicU64::new(0),
         });
-        // Seed the progress mirror with the recovered registry's totals
+        // Publish epoch 1 so queries work before the first ingest, and
+        // seed the progress mirror with the recovered totals it captured
         // so staleness stays a live-vs-snapshot delta after restarts.
-        if let Backend::Single(gd) = &state.backend {
-            let recovered = gd.with(|dp| dp.processor().total_update_stats());
-            state
-                .progress
-                .add(recovered.records, recovered.gross_weight);
-        }
-        // Publish epoch 1 so queries work before the first ingest. A
-        // fleet seeds its mirror from this first merged capture.
         let first = state.publish_now()?;
-        if state.fleet().is_some() {
-            state.progress.raise_to(first.total_stats());
-        }
+        state.progress.raise_to(first.total_stats());
 
         let accept = {
             let state = Arc::clone(&state);
@@ -585,27 +554,16 @@ impl Server {
     /// nothing.
     pub fn shutdown(mut self, checkpoint: bool) -> ShutdownReport {
         self.stop_threads();
-        let checkpoint = match (&self.state.backend, checkpoint) {
-            (Backend::Single(gd), true) => Some(gd.checkpoint().map_err(|e| e.to_string())),
-            (Backend::Single(gd), false) => {
-                // Still make acked records durable on disk.
-                let _ = gd.sync();
-                None
-            }
-            (Backend::Fleet(fleet), true) => {
-                Some(fleet.checkpoint_all().map_err(|e| e.to_string()))
-            }
-            (Backend::Fleet(fleet), false) => {
-                let _ = fleet.publish_all();
-                None
-            }
-        };
-        let events = match &self.state.backend {
-            Backend::Single(gd) => gd.events_processed(),
-            Backend::Fleet(_) => self.state.cell.load().events(),
+        let registry = &self.state.registry;
+        let checkpoint = if checkpoint {
+            Some(registry.checkpoint_all().map_err(|e| e.to_string()))
+        } else {
+            // Still make every applied record durable on disk.
+            let _ = registry.publish_all();
+            None
         };
         ShutdownReport {
-            events,
+            events: registry.events_processed(),
             epoch: self.state.cell.published_epoch(),
             checkpoint,
         }
@@ -620,22 +578,30 @@ impl Server {
         // (therefore unacked) WAL buffer, like a real crash would.
     }
 
-    /// Run `f` against the underlying durable registry (tests and the
-    /// CLI use this for assertions and maintenance), or `None` in fleet
-    /// mode (`shards ≥ 1`) — use [`Self::with_fleet`] there.
+    /// Run `f` against the durable registry of a root daemon's one
+    /// shard (tests and the CLI use this for assertions and
+    /// maintenance), or `None` for a fleet — use [`Self::with_fleet`]
+    /// there.
     pub fn with_registry<R>(
         &self,
         f: impl FnOnce(
-            &mut dctstream_stream::DurableProcessor<dctstream_stream::SharedStorage<DirStorage>>,
+            &mut dctstream_stream::DurableProcessor<
+                dctstream_stream::SharedStorage<dctstream_stream::DirStorage>,
+            >,
         ) -> R,
     ) -> Option<R> {
-        self.state.single().map(|gd| gd.with(f))
+        let registry = &self.state.registry;
+        if registry.has_followers() {
+            return None;
+        }
+        registry.primary(0).ok().map(|gd| gd.with(f))
     }
 
-    /// Run `f` against the fleet backend, or `None` in single-registry
-    /// mode.
+    /// Run `f` against a fleet daemon's registry, or `None` for a root
+    /// daemon (no followers).
     pub fn with_fleet<R>(&self, f: impl FnOnce(&ShardedRegistry) -> R) -> Option<R> {
-        self.state.fleet().map(f)
+        let registry = &self.state.registry;
+        registry.has_followers().then(|| f(registry))
     }
 }
 
@@ -973,12 +939,18 @@ fn handle_health(state: &ServerState) -> Handled {
 
 fn metrics_response(state: &ServerState) -> (Status, &'static str, String) {
     let mut snap = dctstream_obs::global().snapshot();
-    // Fleet mode keeps per-shard manifests; persistent counters are a
-    // single-registry surface.
-    let counters = match &state.backend {
-        Backend::Single(gd) => gd.with(|dp| dp.persistent_counters().clone()),
-        Backend::Fleet(_) => Default::default(),
-    };
+    // Every live shard keeps persistent counters in its own manifest;
+    // export their sums.
+    let mut counters = std::collections::BTreeMap::<String, u64>::new();
+    for shard in 0..state.registry.shards() {
+        if let Ok(gd) = state.registry.primary(shard) {
+            gd.with(|dp| {
+                for (name, value) in dp.persistent_counters() {
+                    *counters.entry(name.clone()).or_default() += value;
+                }
+            });
+        }
+    }
     for (name, value) in counters {
         // Manifest keys carry `_total`; strip it so the Prometheus
         // renderer does not emit a doubled suffix.
@@ -1034,11 +1006,10 @@ fn handle_register(state: &ServerState, req: &Request) -> Handled {
         }
         other => return Err(usage(format!("bad kind {other:?}: cosine or multi"))),
     };
-    match &state.backend {
-        Backend::Single(gd) => gd.register(key.clone(), summary),
-        Backend::Fleet(fleet) => fleet.register(key.clone(), summary),
-    }
-    .map_err(|e| rejected(&e))?;
+    state
+        .registry
+        .register(key.clone(), summary)
+        .map_err(|e| rejected(&e))?;
     // Publish immediately so the stream is queryable at once.
     let snap = state.publish_now().map_err(|e| rejected(&e))?;
     Ok(format!(
@@ -1073,17 +1044,6 @@ pub fn parse_row(line: &str) -> std::result::Result<(Vec<i64>, f64), String> {
         })
         .collect::<std::result::Result<Vec<i64>, String>>()?;
     Ok((tuple, w))
-}
-
-/// The reject cause label for a row-level registry error; `None` means
-/// the error is not attributable to one row (storage failure, unknown
-/// stream) and must fail the batch.
-fn reject_label(e: &DctError) -> Option<&'static str> {
-    match e {
-        DctError::ValueOutOfDomain { .. } => Some("out-of-domain"),
-        DctError::ArityMismatch { .. } => Some("wrong-arity"),
-        _ => None,
-    }
 }
 
 /// Render the reject-attribution fields of an ingest answer: every
@@ -1144,93 +1104,65 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Handled {
         return Err(usage("empty ingest body".to_string()));
     }
 
-    let (applied, tail) = match &state.backend {
-        Backend::Single(gd) => {
-            // Apply under the registry lock; bump the lock-free progress
-            // mirror per applied row so staleness accounting survives
-            // mid-batch errors. Row-level registry errors (wrong arity,
-            // out of domain) validate before the WAL append, so a
-            // rejected row leaves no durable record.
-            let applied_then_snapshot = gd.with(|dp| {
-                let mut applied = 0u64;
-                for (row_no, (tuple, w)) in &rows {
-                    match dp.process_weighted(&key, tuple, *w) {
-                        Ok(_) => {
-                            state.progress.add(1, w.abs());
-                            applied += 1;
-                        }
-                        Err(e) => match reject_label(&e) {
-                            Some(label) => {
-                                // The macro caches its handle per call
-                                // site, which would pin every increment
-                                // to the first cause seen — go through
-                                // the registry for the dynamic label.
-                                dctstream_obs::global()
-                                    .counter_with("intake.rows_rejected_total", &[("cause", label)])
-                                    .add(1);
-                                rejects.push((*row_no, e.to_string()));
-                            }
-                            None => return Err(e),
-                        },
-                    }
-                }
-                let since = state.since_publish.fetch_add(applied, Ordering::SeqCst) + applied;
-                if since >= state.publish_every {
-                    state.since_publish.store(0, Ordering::SeqCst);
-                    let epoch = state.cell.next_epoch();
-                    return dp.capture_snapshot(epoch).map(|s| (applied, Some(s)));
-                }
-                Ok((applied, None))
-            });
-            // A failed WAL append or fsync quarantines streams:
-            // republish so no later answer reads their live state.
-            let failed = |e: DctError| {
-                if matches!(e, DctError::Wal { .. }) {
-                    let _ = state.publish_now();
-                }
-                rejected(&e)
-            };
-            let (applied, snap) = applied_then_snapshot.map_err(failed)?;
-            // Durable ack: one group fsync covers the whole batch.
-            gd.sync().map_err(failed)?;
-            if let Some(snap) = snap {
-                state.cell.store(Arc::new(snap));
+    // Every row is checked against the stream's registered shape before
+    // anything is applied, so a bad row is a reject with its body line
+    // and cause on every shard count, and never half of an applied
+    // batch. A stream the published snapshot lacks (unknown, or
+    // withheld while quarantined) is left to the registry's own error.
+    let snap = state.cell.load();
+    let mut batch: Vec<(Vec<i64>, f64)> = Vec::with_capacity(rows.len());
+    for (row_no, row) in rows {
+        match snap.summary(&key).map_or(Ok(()), |s| s.check_tuple(&row.0)) {
+            Ok(()) => batch.push(row),
+            Err(e) => {
+                let label = match e {
+                    DctError::ArityMismatch { .. } => "wrong-arity",
+                    _ => "out-of-domain",
+                };
+                // The macro caches its handle per call site, which would
+                // pin every increment to the first cause seen — go
+                // through the registry for the dynamic label.
+                dctstream_obs::global()
+                    .counter_with("intake.rows_rejected_total", &[("cause", label)])
+                    .add(1);
+                rejects.push((row_no, e.to_string()));
             }
-            (
-                applied,
-                format!(",\"durable_seq\":{}", gd.durable_watermark()),
-            )
         }
-        Backend::Fleet(fleet) => {
-            // The fleet partitions, applies, syncs, and publishes each
-            // touched shard's watermark internally; the ack below is
-            // durable across every routed shard. Fleet batches are
-            // all-or-nothing past parsing: per-row registry attribution
-            // is a single-registry surface.
-            let batch: Vec<(Vec<i64>, f64)> = rows.iter().map(|(_, r)| r.clone()).collect();
-            let applied = if batch.is_empty() {
-                0
-            } else {
-                fleet.ingest(&key, &batch).map_err(|e| {
-                    // Shards that applied their part before another
-                    // failed hold rows no progress count covers yet:
-                    // publish them and count them, so answers never
-                    // under-report `records_behind`.
-                    if let Ok(snap) = state.publish_now() {
-                        state.progress.raise_to(snap.total_stats());
-                    }
-                    rejected(&e)
-                })?
-            };
-            for (_, (_, w)) in &rows {
-                state.progress.add(1, w.abs());
+    }
+    drop(snap);
+
+    // The registry partitions, applies, syncs, and publishes each
+    // touched shard's watermark internally: the ack below is durable on
+    // every shard the batch reached.
+    let applied = if batch.is_empty() {
+        0
+    } else {
+        state.registry.ingest(&key, &batch).map_err(|e| {
+            // A failed WAL append or fsync quarantines streams, and with
+            // several shards the others may have applied their part:
+            // republish, and count those rows, so no later answer reads
+            // quarantined live state or under-reports `records_behind`.
+            if matches!(e, DctError::Wal { .. }) || state.registry.shards() > 1 {
+                if let Ok(snap) = state.publish_now() {
+                    state.progress.raise_to(snap.total_stats());
+                }
             }
-            let since = state.since_publish.fetch_add(applied, Ordering::SeqCst) + applied;
-            if since >= state.publish_every {
-                state.publish_now().map_err(|e| rejected(&e))?;
-            }
-            (applied, String::new())
-        }
+            rejected(&e)
+        })?
+    };
+    for (_, w) in &batch {
+        state.progress.add(1, w.abs());
+    }
+    let since = state.since_publish.fetch_add(applied, Ordering::SeqCst) + applied;
+    if since >= state.publish_every {
+        state.publish_now().map_err(|e| rejected(&e))?;
+    }
+    // A root registry acks with the WAL position its fsyncs now cover.
+    let tail = if state.registry.has_followers() {
+        String::new()
+    } else {
+        let gd = state.registry.primary(0).map_err(|e| rejected(&e))?;
+        format!(",\"durable_seq\":{}", gd.durable_watermark())
     };
 
     // Configurable quarantine: past the threshold the stream itself is
@@ -1244,14 +1176,7 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Handled {
                 seen,
                 threshold: t,
             };
-            match &state.backend {
-                Backend::Single(gd) => {
-                    let _ = gd.with(|dp| dp.quarantine_stream(&key, cause));
-                }
-                Backend::Fleet(fleet) => {
-                    let _ = fleet.quarantine_stream(&key, cause);
-                }
-            }
+            let _ = state.registry.quarantine_stream(&key, cause);
             let _ = state.publish_now();
             return Err((
                 Status::Unprocessable,
@@ -1320,7 +1245,7 @@ fn answer_json<'a>(
     if !dead.is_empty() {
         dctstream_obs::counter_add!("fleet.degraded_answers_total", 1);
     }
-    let degraded = if state.fleet().is_none() && streams.is_empty() {
+    let degraded = if !state.registry.has_followers() && streams.is_empty() {
         String::new()
     } else {
         format!(",{}", degraded_json(dead, &streams))
@@ -1338,12 +1263,10 @@ fn read_snapshot(
     state: &ServerState,
 ) -> std::result::Result<Arc<RegistrySnapshot>, (Status, String)> {
     let snap = state.cell.load();
-    match state.fleet() {
-        Some(fleet) if fleet.generation() != snap.generation() => {
-            state.publish_now().map_err(|e| rejected(&e))
-        }
-        _ => Ok(snap),
+    if state.registry.generation() == snap.generation() {
+        return Ok(snap);
     }
+    state.publish_now().map_err(|e| rejected(&e))
 }
 
 /// Look up / fill the estimate cache around `compute`.
@@ -1468,11 +1391,7 @@ fn handle_streams(state: &ServerState, req: &Request) -> Handled {
 }
 
 fn handle_checkpoint(state: &ServerState) -> Handled {
-    let retired = match &state.backend {
-        Backend::Single(gd) => gd.checkpoint(),
-        Backend::Fleet(fleet) => fleet.checkpoint_all(),
-    }
-    .map_err(|e| rejected(&e))?;
+    let retired = state.registry.checkpoint_all().map_err(|e| rejected(&e))?;
     let snap = state.publish_now().map_err(|e| rejected(&e))?;
     Ok(format!(
         "{{\"retired_segments\":{retired},\"epoch\":{}}}",
@@ -1480,15 +1399,20 @@ fn handle_checkpoint(state: &ServerState) -> Handled {
     ))
 }
 
-fn fleet_only(state: &ServerState) -> std::result::Result<&ShardedRegistry, (Status, String)> {
-    state.fleet().ok_or((
+/// The fleet routes answer 422 on a registry without followers.
+fn require_followers(state: &ServerState) -> std::result::Result<(), (Status, String)> {
+    if state.registry.has_followers() {
+        return Ok(());
+    }
+    Err((
         Status::Unprocessable,
         "this daemon serves a single registry; start with --shards N for a fleet".to_string(),
     ))
 }
 
 fn handle_fleet_status(state: &ServerState) -> Handled {
-    let fleet = fleet_only(state)?;
+    require_followers(state)?;
+    let fleet = &state.registry;
     let entries: Vec<String> = fleet
         .status()
         .iter()
@@ -1518,7 +1442,8 @@ fn handle_fleet_status(state: &ServerState) -> Handled {
 }
 
 fn handle_fleet_ship(state: &ServerState) -> Handled {
-    let fleet = fleet_only(state)?;
+    require_followers(state)?;
+    let fleet = &state.registry;
     let reports = fleet.ship_and_replay().map_err(|e| rejected(&e))?;
     let (mut bytes, mut segments, mut exhausted) = (0u64, 0usize, false);
     for r in &reports {

@@ -867,3 +867,136 @@ fn kill_mid_ingest_recovers_acked_data_bit_identically() {
     assert!(matches!(report.checkpoint, Some(Ok(_))), "{report:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The reject-attribution fields of an ingest answer: everything from
+/// `"rejected"` up to the `rejects` array's end.
+fn rejects_of(body: &str) -> &str {
+    let start = body
+        .find("\"rejected\"")
+        .unwrap_or_else(|| panic!("no rejects in {body}"));
+    let end = start + body[start..].find(']').expect("rejects array closes") + 1;
+    &body[start..end]
+}
+
+/// Fleet rows are checked before partitioning: one out-of-domain row
+/// and one wrong-arity row are rejected with their body lines and
+/// causes exactly as a root daemon rejects them, and the good rows
+/// land on both shards.
+#[test]
+fn fleet_ingest_rejects_rows_with_row_numbers() {
+    let body = "5\n200\n1,2\n7:2\n";
+    let mut answers = Vec::new();
+    for shards in [0, 2] {
+        let dir = tmp_dir(&format!("fleet_rejects_{shards}"));
+        let opts = ServeOptions {
+            shards,
+            publish_every: 1,
+            ..ServeOptions::default()
+        };
+        let (server, _) = Server::start(&dir, "127.0.0.1:0", opts).unwrap();
+        let addr = server.local_addr();
+        register_cosine(addr, "acme", "l");
+        let (status, answer) = ingest(addr, "acme", "l", body);
+        assert_eq!(status, 200, "--shards {shards}: {answer}");
+        assert!(answer.contains("\"accepted\":2,"), "{answer}");
+        assert!(answer.contains("\"rejected\":2,"), "{answer}");
+        for row in ["{\"row\":2,", "{\"row\":3,"] {
+            assert!(answer.contains(row), "missing {row} in {answer}");
+        }
+        let (status, est) = request(addr, "GET", "/v1/estimate?tenant=acme&left=l&right=l", "");
+        assert_eq!(status, 200, "{est}");
+        answers.push((rejects_of(&answer).to_string(), json_num(&est, "estimate")));
+        server.shutdown(false);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert_eq!(answers[0].0, answers[1].0, "rejects differ between modes");
+    // 5 and 7 (weight 2) both landed: 1 + 4 = 5 up to the estimator.
+    let (root, fleet) = (answers[0].1, answers[1].1);
+    assert!(
+        (root - fleet).abs() <= 1e-9 * root.abs(),
+        "root {root} vs fleet {fleet}"
+    );
+}
+
+/// A directory written through a lone `GroupDurable` registry opens
+/// under a default daemon as the only shard of a root registry: the
+/// same estimate bits, the real recovery report, and no fleet files.
+#[test]
+fn fleet_free_root_directory_serves_the_same_estimate_bits() {
+    use dctstream_core::{CosineSynopsis, Domain, Grid};
+    use dctstream_stream::{GroupDurable, RecoveryOptions, RegistrySnapshot, Summary};
+
+    let dir = tmp_dir("fleet_root");
+    let reference = {
+        let (gd, _) = GroupDurable::open_dir(&dir, RecoveryOptions::default()).unwrap();
+        for stream in ["default/l", "default/r"] {
+            let syn = CosineSynopsis::new(Domain::new(0, 31), Grid::Midpoint, 16).unwrap();
+            gd.register(stream, Summary::Cosine(syn)).unwrap();
+        }
+        for v in 0..200i64 {
+            gd.process_weighted("default/l", &[v % 32], 1.0).unwrap();
+            gd.process_weighted("default/r", &[(v * 7) % 32], 0.5)
+                .unwrap();
+        }
+        gd.with(|dp| {
+            RegistrySnapshot::capture(dp.processor_mut(), 1)
+                .unwrap()
+                .estimate_cosine_join("default/l", "default/r", None)
+                .unwrap()
+        })
+    };
+    let (server, report) = Server::start(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    assert_eq!(report.replayed, 402, "{report:?}");
+    let (status, body) = request(
+        server.local_addr(),
+        "GET",
+        "/v1/estimate?left=l&right=r",
+        "",
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_num(&body, "estimate").to_bits(), reference.to_bits());
+    assert!(!body.contains("degraded"), "{body}");
+    let (status, _) = request(server.local_addr(), "GET", "/v1/fleet", "");
+    assert_eq!(status, 422, "a root registry has no followers");
+    assert!(server.with_fleet(|_| ()).is_none());
+    server.shutdown(true);
+    assert!(!dir.join("fleet.dctf").exists());
+    assert!(!dir.join("shard-00").exists());
+    assert!(dir.join("checkpoint.dctr").is_file());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory holding a fleet manifest reopens as that fleet even when
+/// the restart names no shard count.
+#[test]
+fn fleet_manifest_reopens_as_a_fleet_without_a_shard_count() {
+    let dir = tmp_dir("fleet_reopen");
+    let opts = ServeOptions {
+        shards: 2,
+        publish_every: 1,
+        ..ServeOptions::default()
+    };
+    let (server, _) = Server::start(&dir, "127.0.0.1:0", opts).unwrap();
+    let addr = server.local_addr();
+    register_cosine(addr, "acme", "l");
+    assert_eq!(ingest(addr, "acme", "l", "1\n2\n3\n4\n").0, 200);
+    let (_, before) = request(addr, "GET", "/v1/estimate?tenant=acme&left=l&right=l", "");
+    assert!(json_num(&before, "estimate") > 0.0, "{before}");
+    server.shutdown(true);
+
+    let (server, _) = Server::start(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    assert_eq!(server.with_fleet(|f| f.shards()), Some(2));
+    let (status, after) = request(
+        server.local_addr(),
+        "GET",
+        "/v1/estimate?tenant=acme&left=l&right=l",
+        "",
+    );
+    assert_eq!(status, 200, "{after}");
+    assert_eq!(
+        json_num(&before, "estimate").to_bits(),
+        json_num(&after, "estimate").to_bits()
+    );
+    server.shutdown(false);
+    std::fs::remove_dir_all(&dir).ok();
+}

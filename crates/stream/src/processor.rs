@@ -72,6 +72,38 @@ impl Summary {
         }
     }
 
+    /// Check that `tuple` fits this summary without applying it: arity
+    /// for every variant, and every value inside its domain for the
+    /// cosine kinds (sketches hash any value). The error is the one
+    /// [`StreamSummary::update_weighted`] would return for a finite
+    /// weight, so callers can validate a whole batch before applying
+    /// any of it.
+    pub fn check_tuple(&self, tuple: &[i64]) -> Result<()> {
+        let expected = self.arity();
+        if tuple.len() != expected {
+            return Err(DctError::ArityMismatch {
+                expected,
+                got: tuple.len(),
+            });
+        }
+        let cosine;
+        let domains = match self {
+            Summary::Cosine(s) => {
+                cosine = [s.domain()];
+                &cosine[..]
+            }
+            Summary::Multi(s) => s.domains(),
+            _ => &[],
+        };
+        match tuple.iter().zip(domains).find(|(v, d)| !d.contains(**v)) {
+            Some((&value, d)) => Err(DctError::ValueOutOfDomain {
+                value,
+                domain: (d.lo(), d.hi()),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Audit the summary against its variant's structural invariants
     /// (finiteness, scale bounds, layout sanity — see each variant's
     /// `check_invariants`). Returns [`DctError::IntegrityViolation`]
@@ -547,6 +579,32 @@ mod tests {
 
     fn cosine(n: usize, m: usize) -> Summary {
         Summary::Cosine(CosineSynopsis::new(Domain::of_size(n), Grid::Midpoint, m).unwrap())
+    }
+
+    /// `check_tuple` rejects exactly what an update would, with the
+    /// same error, and never touches the summary.
+    #[test]
+    fn check_tuple_matches_the_update_error() {
+        let multi = MultiDimSynopsis::new(
+            vec![Domain::new(0, 9), Domain::new(-5, 5)],
+            Grid::Midpoint,
+            4,
+        )
+        .unwrap();
+        let schema = dctstream_sketch::SketchSchema::new(7, 2, 4, 1).unwrap();
+        let sketch = AmsSketch::new(schema, vec![0]).unwrap();
+        let summaries = [cosine(10, 8), Summary::Multi(multi), Summary::Ams(sketch)];
+        let tuples: [&[i64]; 6] = [&[3], &[10], &[-1], &[1, 2], &[9, -5], &[9, 6]];
+        for summary in &summaries {
+            for tuple in tuples {
+                let checked = summary.check_tuple(tuple).map_err(|e| e.to_string());
+                let updated = summary
+                    .clone()
+                    .update_weighted(tuple, 1.0)
+                    .map_err(|e| e.to_string());
+                assert_eq!(checked, updated, "{tuple:?}");
+            }
+        }
     }
 
     #[test]

@@ -1109,11 +1109,17 @@ struct GdShared<S: WalStorage> {
 /// record under one lock (so sequence order equals apply order), then
 /// releases the lock and blocks until a group fsync covers the record —
 /// the ack-after-fsync durability of `SyncPolicy::Always`, with one
-/// fsync amortized over every record queued behind the leader. The
-/// leader election and failure semantics are those of
-/// [`crate::wal::GroupWal`]: a flush or fsync failure wedges the log,
-/// fails every waiter, and quarantines streams with unsynced records
-/// exactly as [`DurableProcessor::sync`] would.
+/// fsync amortized over every record queued behind the leader.
+///
+/// Protocol: the first waiter that finds no fsync in flight becomes
+/// leader. It flushes the buffer into the active segment under the
+/// lock, notes the covered watermark, releases the lock, fsyncs through
+/// a shared storage handle, re-acquires the lock, publishes the new
+/// durable watermark, and wakes every waiter. Records appended *during*
+/// the fsync are not covered by it — their writers stay blocked and the
+/// next leader picks them all up with a single fsync. A flush or fsync
+/// failure wedges the log, fails every waiter, and quarantines streams
+/// with unsynced records exactly as [`DurableProcessor::sync`] would.
 #[derive(Debug)]
 pub struct GroupDurable<S: WalStorage> {
     shared: Arc<GdShared<S>>,
@@ -1237,8 +1243,8 @@ impl<S: WalStorage> GroupDurable<S> {
     }
 
     /// Block until every record with sequence ≤ `seq` is fsynced,
-    /// becoming the fsync leader when no fsync is in flight. See
-    /// [`crate::wal::GroupWal::wait_durable`] for the protocol.
+    /// becoming the fsync leader when no fsync is in flight (see the
+    /// type docs for the protocol).
     fn wait_durable(&self, seq: u64) -> Result<()> {
         let shared = &*self.shared;
         let mut core = lock_unpoisoned(&shared.core);
@@ -1256,9 +1262,14 @@ impl<S: WalStorage> GroupDurable<S> {
                 core = shared.cv.wait(core).unwrap_or_else(|e| e.into_inner());
                 continue;
             }
-            // Leader: claim the flag, grow the batch through a bounded
-            // commit window, then flush under the lock and fsync outside
-            // it. See `GroupWal::wait_durable` for the window rationale.
+            // Leader. Claim the syncing flag up front and hold it through
+            // a bounded commit window: later arrivals park on the condvar
+            // instead of racing for leadership, while concurrent writers
+            // keep appending (appends never check the flag), so each
+            // scheduler yield grows the batch this fsync will cover. The
+            // window closes as soon as the watermark stops moving, so a
+            // lone writer pays one ~1µs yield and a steady stream cannot
+            // starve the fsync. Then flush under the lock, fsync outside.
             core.syncing = true;
             let mut last_wm = core.dp.wal.watermark();
             for _ in 0..crate::wal::GROUP_COMMIT_WINDOW {

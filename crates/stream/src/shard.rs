@@ -14,13 +14,23 @@
 //!
 //! ## Anatomy of a shard
 //!
-//! Each shard pairs a **primary** ([`crate::DurableProcessor`] in
+//! Each shard pairs a **primary** (a [`crate::GroupDurable`] registry in
 //! `shard-NN/primary-eE/`, its own WAL lineage and checkpoint) with a
 //! warm **follower** (`shard-NN/follower-eE/`), connected by a
 //! [`crate::SegmentShipper`]. The fleet manifest (`fleet.dctf` in the
 //! fleet root, CRC-framed, atomically replaced) stamps every shard with
 //! its id, epoch, and directory pair, so an operator — or a later
 //! [`ShardedRegistry::open`] — reconstructs the fleet from disk alone.
+//! A **root registry** ([`ShardedRegistry::open_root`]) is the
+//! degenerate case the default serve daemon runs: its directory itself
+//! is the only shard's primary, with no follower and no manifest.
+//!
+//! Because the primary is a group-commit registry, a batch
+//! [`ShardedRegistry::ingest`] applies a shard's partition under the
+//! shard's slot lock and fsyncs with that lock released: concurrent
+//! ingests into one shard share its fsync. Rows are checked against the
+//! stream's shape ([`Summary::check_tuple`]) before any shard applies
+//! any of them, so a bad row never leaves a batch half-applied.
 //!
 //! Updates route by FNV-1a hash of the tuple's little-endian bytes
 //! (`hash % N`); registrations broadcast to every shard so each holds a
@@ -66,7 +76,7 @@
 
 use crate::health::HealthCause;
 use crate::processor::Summary;
-use crate::recovery::{DurableProcessor, RecoveryOptions};
+use crate::recovery::{GroupDurable, RecoveryOptions, RecoveryReport};
 use crate::ship::{Follower, SegmentShipper, ShipOptions, ShipReport, ShipWatermark};
 use crate::snapshot::{RegistrySnapshot, StreamStats};
 use crate::wal::{DirStorage, WalStorage};
@@ -240,15 +250,34 @@ pub struct PromotionReport {
     pub acked_seq: u64,
 }
 
+/// A shard's warm follower and the shipper feeding it.
+struct Replica {
+    /// Follower directory, relative to the fleet root.
+    dir: String,
+    follower: Follower<DirStorage>,
+    shipper: SegmentShipper<DirStorage, DirStorage>,
+}
+
+impl Replica {
+    /// One bounded shipping round, then replay of whatever it moved.
+    fn ship_once(&mut self) -> Result<ShipReport> {
+        let report = self.shipper.ship_once()?;
+        if report.dst_truncated {
+            self.follower.reset()?;
+        } else {
+            self.follower.replay_new()?;
+        }
+        Ok(report)
+    }
+}
+
 struct ShardSlot {
     id: usize,
     epoch: u64,
-    primary: Option<DurableProcessor<DirStorage>>,
+    primary: Option<GroupDurable<DirStorage>>,
     down_cause: Option<String>,
-    primary_dir: String,
-    follower_dir: String,
-    follower: Follower<DirStorage>,
-    shipper: SegmentShipper<DirStorage, DirStorage>,
+    /// `None` for a root registry ([`ShardedRegistry::open_root`]).
+    replica: Option<Replica>,
     /// The primary's last published (synced) position; what degraded
     /// answers and promotion verify against.
     published: ShipWatermark,
@@ -258,30 +287,58 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    fn primary_mut(&mut self) -> Result<&mut DurableProcessor<DirStorage>> {
-        let id = self.id;
-        match self.primary.as_mut() {
-            Some(dp) => Ok(dp),
-            None => Err(DctError::StreamQuarantined {
-                stream: format!("shard-{id:02}"),
+    fn primary(&self) -> Result<&GroupDurable<DirStorage>> {
+        self.primary
+            .as_ref()
+            .ok_or_else(|| DctError::StreamQuarantined {
+                stream: format!("shard-{:02}", self.id),
                 cause: self
                     .down_cause
                     .clone()
                     .unwrap_or_else(|| "shard primary is down".into()),
-            }),
-        }
+            })
     }
 
-    /// Publish the primary's current durable position. Call only after
-    /// a completed sync: published positions are promises to the
-    /// coordinator about what a promotion must preserve.
-    fn publish(&mut self) {
-        if let Some(dp) = &self.primary {
+    fn replica_mut(&mut self) -> Result<&mut Replica> {
+        let id = self.id;
+        self.replica
+            .as_mut()
+            .ok_or_else(|| DctError::InvalidParameter(format!("shard {id} has no follower")))
+    }
+
+    fn count(&mut self, w: f64) {
+        self.lineage.records += 1;
+        self.lineage.gross_weight += w.abs();
+    }
+
+    /// Sync the primary and publish its durable position. Applies take
+    /// the slot lock, so under it the log's watermark and the lineage
+    /// describe the same records: published positions are promises to
+    /// the coordinator about what a promotion must preserve.
+    fn publish(&mut self) -> Result<()> {
+        if let Some(gd) = &self.primary {
+            gd.sync()?;
             self.published = ShipWatermark {
-                seq: dp.wal_watermark(),
+                seq: gd.wal_watermark(),
                 stats: self.lineage,
             };
         }
+        Ok(())
+    }
+
+    /// One shipping round to the follower, if there is one, then the
+    /// retention-pin advance and a publish.
+    fn ship_round(&mut self) -> Result<Option<ShipReport>> {
+        let Some(replica) = self.replica.as_mut() else {
+            return Ok(None);
+        };
+        let report = replica.ship_once()?;
+        let acked = replica.follower.applied_seq();
+        if let Some(gd) = &self.primary {
+            gd.with(|dp| dp.pin_wal_retention(FOLLOWER_PIN, acked));
+        }
+        self.publish()?;
+        Ok(Some(report))
     }
 }
 
@@ -294,6 +351,8 @@ pub struct ShardedRegistry {
     /// Bumped after every change to what a merged capture reads that no
     /// ingest publishes (see the module docs).
     generation: AtomicU64,
+    /// Every shard has a follower: false only for a root registry.
+    followers: bool,
 }
 
 impl std::fmt::Debug for ShardedRegistry {
@@ -301,6 +360,7 @@ impl std::fmt::Debug for ShardedRegistry {
         f.debug_struct("ShardedRegistry")
             .field("root", &self.root)
             .field("shards", &self.slots.len())
+            .field("followers", &self.followers)
             .finish()
     }
 }
@@ -350,6 +410,7 @@ impl ShardedRegistry {
             slots,
             opts,
             generation: AtomicU64::new(0),
+            followers: true,
         })
     }
 
@@ -374,6 +435,7 @@ impl ShardedRegistry {
             slots,
             opts,
             generation: AtomicU64::new(0),
+            followers: true,
         };
         // Bring followers to parity, then re-anchor both sides of every
         // pair together so staleness accounting starts exact from here.
@@ -388,15 +450,19 @@ impl ShardedRegistry {
         }
         for slot in &fleet.slots {
             let mut s = lock(slot);
-            s.follower.rebase_stats();
             s.lineage = StreamStats::default();
-            s.publish();
+            s.publish()?;
+            let s = &mut *s;
+            let Some(replica) = s.replica.as_mut() else {
+                continue;
+            };
+            replica.follower.rebase_stats();
             if s.primary.is_none() {
                 // No live primary to publish from: anchor at the
                 // follower's replayed position so nothing reads as
                 // behind what no one can ship.
                 s.published = ShipWatermark {
-                    seq: s.follower.applied_seq(),
+                    seq: replica.follower.applied_seq(),
                     stats: StreamStats::default(),
                 };
             }
@@ -405,12 +471,43 @@ impl ShardedRegistry {
         Ok(fleet)
     }
 
+    /// Open `dir` itself as a one-shard registry with no follower and
+    /// no fleet manifest: the on-disk layout of a lone group-commit
+    /// registry ([`GroupDurable::open_dir`]), byte for byte. Returns the
+    /// shard's own recovery report. Opening does no fsync and writes
+    /// nothing beyond what that recovery writes.
+    pub fn open_root(
+        dir: impl Into<PathBuf>,
+        opts: FleetOptions,
+    ) -> Result<(Self, RecoveryReport)> {
+        let root = dir.into();
+        let (gd, report) = GroupDurable::open_dir(&root, opts.recovery.clone())?;
+        let mut slot = ShardSlot {
+            id: 0,
+            epoch: 1,
+            primary: Some(gd),
+            down_cause: None,
+            replica: None,
+            published: ShipWatermark::default(),
+            lineage: StreamStats::default(),
+        };
+        slot.publish()?;
+        let registry = ShardedRegistry {
+            root,
+            slots: vec![Mutex::new(slot)],
+            opts,
+            generation: AtomicU64::new(0),
+            followers: false,
+        };
+        Ok((registry, report))
+    }
+
     fn open_slot(root: &Path, meta: &ShardMeta, opts: &FleetOptions) -> Result<ShardSlot> {
         let primary_abs = root.join(&meta.primary_dir);
         let follower_abs = root.join(&meta.follower_dir);
         let (primary, down_cause) =
-            match DurableProcessor::open_dir(&primary_abs, opts.recovery.clone()) {
-                Ok((dp, _report)) => (Some(dp), None),
+            match GroupDurable::open_dir(&primary_abs, opts.recovery.clone()) {
+                Ok((gd, _report)) => (Some(gd), None),
                 Err(e) => (None, Some(format!("primary failed to open: {e}"))),
             };
         let follower_storage = DirStorage::open(&follower_abs)
@@ -422,22 +519,24 @@ impl ShardedRegistry {
         let dst = DirStorage::open(&follower_abs)
             .map_err(|e| fleet_err(format!("opening shipper destination: {e}")))?;
         let shipper = SegmentShipper::new(src, dst, opts.ship.clone());
+        if let Some(gd) = &primary {
+            let acked = follower.applied_seq();
+            gd.with(|dp| dp.pin_wal_retention(FOLLOWER_PIN, acked));
+        }
         let mut slot = ShardSlot {
             id: meta.id as usize,
             epoch: meta.epoch,
             primary,
             down_cause,
-            primary_dir: meta.primary_dir.clone(),
-            follower_dir: meta.follower_dir.clone(),
-            follower,
-            shipper,
+            replica: Some(Replica {
+                dir: meta.follower_dir.clone(),
+                follower,
+                shipper,
+            }),
             published: ShipWatermark::default(),
             lineage: StreamStats::default(),
         };
-        if let Some(dp) = slot.primary.as_mut() {
-            dp.pin_wal_retention(FOLLOWER_PIN, slot.follower.applied_seq());
-        }
-        slot.publish();
+        slot.publish()?;
         Ok(slot)
     }
 
@@ -449,6 +548,35 @@ impl ShardedRegistry {
     /// The fleet root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// Whether every shard has a warm follower: true for a fleet
+    /// ([`Self::create`], [`Self::open`]), false for a root registry
+    /// ([`Self::open_root`]), which cannot ship, kill or promote.
+    pub fn has_followers(&self) -> bool {
+        self.followers
+    }
+
+    /// A handle to `shard`'s live primary. The handle keeps that primary
+    /// open even past a [`Self::kill`], so hold it only briefly.
+    pub fn primary(&self, shard: usize) -> Result<GroupDurable<DirStorage>> {
+        self.slot(shard)?.primary().cloned()
+    }
+
+    /// Events absorbed across the fleet: every live primary's, plus the
+    /// replayed events of the followers standing in for dead ones.
+    pub fn events_processed(&self) -> u64 {
+        self.slots
+            .iter()
+            .map(|slot| {
+                let s = lock(slot);
+                match (&s.primary, &s.replica) {
+                    (Some(gd), _) => gd.events_processed(),
+                    (None, Some(r)) => r.follower.processor().events_processed(),
+                    (None, None) => 0,
+                }
+            })
+            .sum()
     }
 
     /// The fleet generation: it moves after every kill, promotion,
@@ -478,13 +606,19 @@ impl ShardedRegistry {
 
     /// Register a stream fleet-wide: every shard gets a same-shaped
     /// copy of the summary (same construction, same seeds), so its
-    /// partials merge exactly. Fails if any shard is down — a fleet
-    /// must be whole to change its schema.
+    /// partials merge exactly. A root registry returns once the
+    /// registration record is durable, as a lone group-commit registry
+    /// does; in a fleet each shard's next sync makes it durable, so a
+    /// schema change costs no fsync per shard. Fails if any shard is
+    /// down — a fleet must be whole to change its schema.
     pub fn register(&self, name: impl Into<String>, summary: Summary) -> Result<()> {
         let name = name.into();
         for slot in &self.slots {
-            let mut s = lock(slot);
-            s.primary_mut()?.register(name.clone(), summary.clone())?;
+            let gd = lock(slot).primary()?.clone();
+            gd.with(|dp| dp.register(name.clone(), summary.clone()))?;
+            if !self.followers {
+                gd.sync()?;
+            }
         }
         Ok(())
     }
@@ -497,77 +631,113 @@ impl ShardedRegistry {
     pub fn process_weighted(&self, stream: &str, tuple: &[i64], w: f64) -> Result<(usize, u64)> {
         let shard = self.route(tuple);
         let mut s = lock(&self.slots[shard]);
-        let seq = s.primary_mut()?.process_weighted(stream, tuple, w)?;
-        s.lineage.records += 1;
-        s.lineage.gross_weight += w.abs();
+        let seq = s
+            .primary()?
+            .with(|dp| dp.process_weighted(stream, tuple, w))?;
+        s.count(w);
         Ok((shard, seq))
     }
 
-    /// Ingest a batch: partition rows by routing hash, apply each
-    /// shard's partition under its own lock (in parallel across shards
-    /// when more than one partition is non-empty), then sync and
-    /// publish each touched shard. Returns the rows applied.
+    /// Ingest a batch: check every row against the stream's summary
+    /// ([`Summary::check_tuple`]) so a bad row fails the batch before
+    /// any shard applies any of it, then partition rows by routing hash
+    /// and apply each shard's partition (in parallel across shards when
+    /// more than one partition is non-empty). Each touched shard is
+    /// synced and its durable position published before this returns.
+    /// Returns the rows applied.
     pub fn ingest(&self, stream: &str, rows: &[(Vec<i64>, f64)]) -> Result<u64> {
+        self.check_rows(stream, rows)?;
         let n = self.slots.len();
         let mut parts: Vec<Vec<&(Vec<i64>, f64)>> = vec![Vec::new(); n];
         for row in rows {
             parts[self.route(&row.0)].push(row);
         }
-        let apply = |shard: usize, part: &[&(Vec<i64>, f64)]| -> Result<u64> {
-            let mut s = lock(&self.slots[shard]);
-            {
-                let dp = s.primary_mut()?;
-                for (tuple, w) in part.iter().map(|r| (&r.0, r.1)) {
-                    dp.process_weighted(stream, tuple, w)?;
-                }
-            }
-            for (_, w) in part.iter().map(|r| (&r.0, r.1)) {
-                s.lineage.records += 1;
-                s.lineage.gross_weight += w.abs();
-            }
-            s.primary_mut()?.sync()?;
-            s.publish();
-            Ok(part.len() as u64)
-        };
-        let busy: Vec<usize> = (0..n).filter(|i| !parts[*i].is_empty()).collect();
-        let mut applied = 0u64;
-        if busy.len() <= 1 {
-            for &i in &busy {
-                applied += apply(i, &parts[i])?;
-            }
+        let busy: Vec<usize> = (0..n).filter(|&i| !parts[i].is_empty()).collect();
+        let results: Vec<Result<u64>> = if busy.len() <= 1 {
+            busy.iter()
+                .map(|&i| self.apply(i, stream, &parts[i]))
+                .collect()
         } else {
-            let (apply, parts) = (&apply, &parts);
-            let results: Vec<Result<u64>> = std::thread::scope(|scope| {
+            let parts = &parts;
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = busy
                     .iter()
-                    .map(|&i| scope.spawn(move || apply(i, &parts[i])))
+                    .map(|&i| scope.spawn(move || self.apply(i, stream, &parts[i])))
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(fleet_err("ingest worker panicked")),
+                    .map(|h| {
+                        h.join()
+                            .unwrap_or_else(|_| Err(fleet_err("ingest worker panicked")))
                     })
                     .collect()
-            });
-            for r in results {
-                applied += r?;
-            }
-        }
+            })
+        };
+        let applied = results.into_iter().sum::<Result<u64>>()?;
         dctstream_obs::counter_add!("fleet.ingested_rows", applied);
         Ok(applied)
     }
 
+    /// Check `rows` against `stream`'s summary on the first live shard
+    /// (every shard holds the same shape). A stream no live shard knows
+    /// passes here and fails at apply with the registry's own error.
+    fn check_rows(&self, stream: &str, rows: &[(Vec<i64>, f64)]) -> Result<()> {
+        let Some(gd) = self
+            .slots
+            .iter()
+            .find_map(|slot| lock(slot).primary.clone())
+        else {
+            return Ok(());
+        };
+        gd.with(|dp| match dp.processor().summary(stream) {
+            Some(summary) => rows.iter().try_for_each(|(t, _)| summary.check_tuple(t)),
+            None => Ok(()),
+        })
+    }
+
+    /// Apply one shard's partition under its slot lock, then make it
+    /// durable with the slot unlocked, so concurrent ingests into the
+    /// shard share its group fsync. The position the partition reached
+    /// is published afterwards only if the primary that applied it is
+    /// still in place: a kill or promotion in between fails the part.
+    fn apply(&self, shard: usize, stream: &str, part: &[&(Vec<i64>, f64)]) -> Result<u64> {
+        let (gd, epoch, reached) = {
+            let mut s = lock(&self.slots[shard]);
+            let gd = s.primary()?.clone();
+            let mut done = 0;
+            let outcome = gd.with(|dp| {
+                part.iter().try_fold(0, |_, (tuple, w)| -> Result<u64> {
+                    let seq = dp.process_weighted(stream, tuple, *w)?;
+                    done += 1;
+                    Ok(seq)
+                })
+            });
+            for (_, w) in &part[..done] {
+                s.count(*w);
+            }
+            let reached = ShipWatermark {
+                seq: outcome?,
+                stats: s.lineage,
+            };
+            (gd, s.epoch, reached)
+        };
+        gd.sync()?;
+        let mut s = lock(&self.slots[shard]);
+        if s.primary.is_none() || s.epoch != epoch {
+            return Err(fleet_err(format!(
+                "shard {shard}'s primary went down before its part of the batch was \
+                 acknowledged"
+            )));
+        }
+        if reached.seq > s.published.seq {
+            s.published = reached;
+        }
+        Ok(part.len() as u64)
+    }
+
     /// Sync every live shard's WAL and publish its durable position.
     pub fn publish_all(&self) -> Result<()> {
-        for slot in &self.slots {
-            let mut s = lock(slot);
-            if s.primary.is_some() {
-                s.primary_mut()?.sync()?;
-                s.publish();
-            }
-        }
-        Ok(())
+        self.slots.iter().try_for_each(|slot| lock(slot).publish())
     }
 
     /// Checkpoint every live shard (retention pins keep segments the
@@ -576,23 +746,26 @@ impl ShardedRegistry {
         let mut retired = 0;
         for slot in &self.slots {
             let mut s = lock(slot);
-            if s.primary.is_some() {
-                retired += s.primary_mut()?.checkpoint()?;
-                // The manifest just written covers exactly the lineage
-                // counted so far; a follower that later bootstraps from
-                // it (first frame still incomplete under a tiny ship
-                // budget, or a post-truncation reset) must credit these
-                // totals or report itself behind forever.
-                let seed = s.lineage;
-                s.follower.set_bootstrap_seed(seed);
-                s.publish();
+            let Some(gd) = s.primary.clone() else {
+                continue;
+            };
+            retired += gd.checkpoint()?;
+            // The manifest just written covers exactly the lineage
+            // counted so far; a follower that later bootstraps from it
+            // (first frame still incomplete under a tiny ship budget, or
+            // a post-truncation reset) must credit these totals or
+            // report itself behind forever.
+            let seed = s.lineage;
+            if let Some(replica) = s.replica.as_mut() {
+                replica.follower.set_bootstrap_seed(seed);
             }
+            s.publish()?;
         }
         Ok(retired)
     }
 
     /// Quarantine `stream` on every live shard, recording `cause` (see
-    /// [`DurableProcessor::quarantine_stream`]): checkpoints then refuse,
+    /// [`crate::DurableProcessor::quarantine_stream`]): checkpoints then refuse,
     /// ingest into the stream is refused, and captures answer it from
     /// each shard's last checkpoint. A dead shard is skipped; its
     /// follower never ingests. Stops at the first shard that refuses.
@@ -600,8 +773,10 @@ impl ShardedRegistry {
         let outcome = self
             .slots
             .iter()
-            .try_for_each(|slot| match lock(slot).primary.as_mut() {
-                Some(dp) => dp.quarantine_stream(stream, cause.clone()).map(drop),
+            .try_for_each(|slot| match &lock(slot).primary {
+                Some(gd) => gd
+                    .with(|dp| dp.quarantine_stream(stream, cause.clone()))
+                    .map(drop),
                 None => Ok(()),
             });
         self.bump_generation();
@@ -612,26 +787,13 @@ impl ShardedRegistry {
     /// replay, retention-pin advance, and (for live shards) a publish.
     /// Shards whose primary is down still ship — the shipper reads the
     /// dead primary's directory directly, which is the whole point of
-    /// shipping durable bytes rather than live state.
+    /// shipping durable bytes rather than live state. A root registry
+    /// has no follower and returns no reports.
     pub fn ship_and_replay(&self) -> Result<Vec<ShipReport>> {
         let reports = self
             .slots
             .iter()
-            .map(|slot| {
-                let mut s = lock(slot);
-                let report = s.shipper.ship_once()?;
-                if report.dst_truncated {
-                    s.follower.reset()?;
-                } else {
-                    s.follower.replay_new()?;
-                }
-                let acked = s.follower.applied_seq();
-                if let Some(dp) = s.primary.as_mut() {
-                    dp.pin_wal_retention(FOLLOWER_PIN, acked);
-                }
-                s.publish();
-                Ok(report)
-            })
+            .filter_map(|slot| lock(slot).ship_round().transpose())
             .collect();
         // Followers may have moved even if a later shard failed.
         self.bump_generation();
@@ -643,8 +805,11 @@ impl ShardedRegistry {
     /// would lose them. The follower, the shipped store, and the
     /// primary's durable directory survive. Returns the last published
     /// (acked) watermark — the bar a later [`Self::promote`] must meet.
+    /// A shard without a follower cannot be killed: nothing would
+    /// answer for it.
     pub fn kill(&self, shard: usize) -> Result<ShipWatermark> {
         let mut s = self.slot(shard)?;
+        s.replica_mut()?;
         if s.primary.take().is_none() {
             return Err(DctError::InvalidParameter(format!(
                 "shard {shard} is already down"
@@ -663,20 +828,25 @@ impl ShardedRegistry {
             .ok_or_else(|| DctError::InvalidParameter(format!("no shard {shard}")))
     }
 
-    /// Per-shard status (`fleet-status`, `/v1/fleet`).
+    /// Per-shard status (`fleet-status`, `/v1/fleet`). A shard without
+    /// a follower reports its own published position as the follower's.
     pub fn status(&self) -> Vec<ShardStatus> {
         self.slots
             .iter()
             .map(|slot| {
                 let s = lock(slot);
-                let (records_behind, gross_weight_behind) = s.follower.behind(&s.published);
+                let (follower_applied_seq, (records_behind, gross_weight_behind)) = match &s.replica
+                {
+                    Some(r) => (r.follower.applied_seq(), r.follower.behind(&s.published)),
+                    None => (s.published.seq, (0, 0.0)),
+                };
                 ShardStatus {
                     id: s.id,
                     epoch: s.epoch,
                     alive: s.primary.is_some(),
                     down_cause: s.down_cause.clone(),
                     published_seq: s.published.seq,
-                    follower_applied_seq: s.follower.applied_seq(),
+                    follower_applied_seq,
                     records_behind,
                     gross_weight_behind,
                 }
@@ -693,28 +863,36 @@ impl ShardedRegistry {
     /// generation read before the first lock. Locks are taken per shard
     /// in id order and released between shards — the merge is a
     /// moment-in-time composite, with any skew bounded by the reported
-    /// staleness.
+    /// staleness. A one-shard capture is that shard's snapshot itself,
+    /// with no merge copy.
     pub fn capture_merged_at(&self, epoch: u64) -> Result<(RegistrySnapshot, Vec<ShardStaleness>)> {
         let generation = self.generation();
         let mut parts = Vec::with_capacity(self.slots.len());
         let mut degraded = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
             let mut s = lock(slot);
-            match s.primary.as_mut() {
-                Some(dp) => parts.push(dp.capture_snapshot(epoch)?),
-                None => {
-                    let (records_behind, gross_weight_behind) = s.follower.behind(&s.published);
+            let s = &mut *s;
+            match (&s.primary, s.replica.as_mut()) {
+                (Some(gd), _) => parts.push(gd.with(|dp| dp.capture_snapshot(epoch))?),
+                (None, Some(replica)) => {
+                    let (records_behind, gross_weight_behind) =
+                        replica.follower.behind(&s.published);
                     degraded.push(ShardStaleness {
                         shard: i,
                         records_behind,
                         gross_weight_behind,
                     });
-                    parts.push(s.follower.snapshot(epoch)?);
+                    parts.push(replica.follower.snapshot(epoch)?);
+                }
+                (None, None) => {
+                    return Err(fleet_err(format!("shard {i} is down with no follower")))
                 }
             }
         }
-        let refs: Vec<&RegistrySnapshot> = parts.iter().collect();
-        let mut merged = RegistrySnapshot::merged(epoch, &refs)?;
+        let mut merged = match <[RegistrySnapshot; 1]>::try_from(parts) {
+            Ok([one]) => one,
+            Err(parts) => RegistrySnapshot::merged(epoch, &parts.iter().collect::<Vec<_>>())?,
+        };
         merged.generation = generation;
         merged.dead_shards = degraded.clone();
         Ok((merged, degraded))
@@ -733,25 +911,22 @@ impl ShardedRegistry {
                 "shard {shard} has a live primary; kill it before promoting"
             )));
         }
+        let acked_seq = s.published.seq;
+        let epoch = s.epoch + 1;
+        let replica = s.replica_mut()?;
         // 1. Drain the shipped tail completely.
         for i in 0.. {
             if i >= 100_000 {
                 return Err(fleet_err("shipping failed to drain before promotion"));
             }
-            let report = s.shipper.ship_once()?;
-            if report.dst_truncated {
-                s.follower.reset()?;
-            } else {
-                s.follower.replay_new()?;
-            }
+            let report = replica.ship_once()?;
             if !report.budget_exhausted && report.bytes_shipped == 0 {
                 break;
             }
         }
         // 2. Verify the follower's replayed state before trusting it.
-        s.follower.check()?;
-        let replayed_seq = s.follower.applied_seq();
-        let acked_seq = s.published.seq;
+        replica.follower.check()?;
+        let replayed_seq = replica.follower.applied_seq();
         if replayed_seq < acked_seq {
             return Err(fleet_err(format!(
                 "refusing to promote shard {shard}: follower replayed only to sequence \
@@ -761,37 +936,34 @@ impl ShardedRegistry {
         }
         // 3. Re-open the shipped store as a primary via the ordinary
         //    recovery path, and cross-check it against the replay.
-        let follower_abs = self.root.join(&s.follower_dir);
-        let (mut dp, report) =
-            DurableProcessor::open_dir(&follower_abs, self.opts.recovery.clone())?;
+        let follower_abs = self.root.join(&replica.dir);
+        let (gd, report) = GroupDurable::open_dir(&follower_abs, self.opts.recovery.clone())?;
         if !report.quarantined.is_empty() {
             return Err(fleet_err(format!(
                 "refusing to promote shard {shard}: recovery quarantined {:?}",
                 report.quarantined
             )));
         }
-        if dp.wal_watermark() != replayed_seq {
+        let (opened_seq, opened_events) =
+            gd.with(|dp| (dp.wal_watermark(), dp.processor().events_processed()));
+        if opened_seq != replayed_seq {
             return Err(fleet_err(format!(
                 "promotion watermark mismatch on shard {shard}: recovery opened at \
-                 {} but the follower replayed to {replayed_seq}",
-                dp.wal_watermark()
+                 {opened_seq} but the follower replayed to {replayed_seq}"
             )));
         }
-        if dp.processor().events_processed() != s.follower.processor().events_processed() {
+        let replayed_events = replica.follower.processor().events_processed();
+        if opened_events != replayed_events {
             return Err(fleet_err(format!(
-                "promotion state divergence on shard {shard}: recovery absorbed {} events, \
-                 the follower replayed {}",
-                dp.processor().events_processed(),
-                s.follower.processor().events_processed()
+                "promotion state divergence on shard {shard}: recovery absorbed \
+                 {opened_events} events, the follower replayed {replayed_events}"
             )));
         }
         // 4. Anchor the new epoch: checkpoint so the fresh follower
         //    bootstraps at exactly this watermark, with both sides'
         //    staleness accounting zeroed together.
-        dp.checkpoint()?;
-        let epoch = s.epoch + 1;
+        gd.checkpoint()?;
         let new_follower_dir = format!("shard-{shard:02}/follower-e{epoch}");
-        let new_primary_dir = s.follower_dir.clone();
         let follower_storage = DirStorage::open(self.root.join(&new_follower_dir))
             .map_err(|e| fleet_err(format!("creating follower dir: {e}")))?;
         let src = DirStorage::open(&follower_abs)
@@ -802,22 +974,27 @@ impl ShardedRegistry {
         shipper.ship_once()?; // carries the manifest; segments are all retired
         let mut follower = Follower::open(follower_storage, self.opts.recovery.wal.clone())?;
         follower.replay_new()?;
-        dp.pin_wal_retention(FOLLOWER_PIN, follower.applied_seq());
+        let acked = follower.applied_seq();
+        gd.with(|dp| dp.pin_wal_retention(FOLLOWER_PIN, acked));
 
-        s.primary = Some(dp);
+        let old = std::mem::replace(
+            replica,
+            Replica {
+                dir: new_follower_dir.clone(),
+                follower,
+                shipper,
+            },
+        );
+        s.primary = Some(gd);
         s.down_cause = None;
         s.epoch = epoch;
-        s.primary_dir = new_primary_dir;
-        s.follower_dir = new_follower_dir;
-        s.follower = follower;
-        s.shipper = shipper;
         s.lineage = StreamStats::default();
-        s.publish();
+        s.publish()?;
         let watermark = s.published.seq;
-        let (id, primary_dir, follower_dir) = (s.id, s.primary_dir.clone(), s.follower_dir.clone());
         drop(s);
         self.bump_generation();
-        self.rewrite_manifest(id, epoch, primary_dir, follower_dir)?;
+        // The promoted follower's directory is the new primary's.
+        self.rewrite_manifest(shard, epoch, old.dir, new_follower_dir)?;
         dctstream_obs::counter_add!("fleet.promotions_total", 1);
         Ok(PromotionReport {
             shard,
@@ -1046,9 +1223,7 @@ mod tests {
         fleet.checkpoint_all().unwrap();
         fleet.ingest("l", &rows(50, 64, 3, 1.0)).unwrap();
         // Quarantine 'l' on shard 1 only; both primaries stay alive.
-        let behind = {
-            let mut s = lock(&fleet.slots[1]);
-            let dp = s.primary_mut().unwrap();
+        let behind = fleet.primary(1).unwrap().with(|dp| {
             dp.quarantine_stream(
                 "l",
                 crate::HealthCause::WalAppendFailed {
@@ -1057,7 +1232,7 @@ mod tests {
             )
             .unwrap();
             dp.staleness_since_checkpoint("l")
-        };
+        });
         assert!(behind.0 > 0, "the post-checkpoint rows must reach shard 1");
 
         let (snap, dead) = fleet.capture_merged_at(2).unwrap();
@@ -1118,6 +1293,85 @@ mod tests {
         let (snap, dead) = fleet.capture_merged_at(3).unwrap();
         assert_eq!(snap.generation(), fleet.generation());
         assert!(dead.is_empty() && snap.dead_shards().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `(events_processed, wal_watermark)` of every shard's primary.
+    fn positions(fleet: &ShardedRegistry) -> Vec<(u64, u64)> {
+        (0..fleet.shards())
+            .map(|i| {
+                let gd = fleet.primary(i).unwrap();
+                (gd.events_processed(), gd.wal_watermark())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_with_an_invalid_row_applies_nothing_on_any_shard() {
+        let dir = tmp("invalid");
+        let fleet = ShardedRegistry::create(&dir, 2, FleetOptions::default()).unwrap();
+        fleet.register("l", cosine(64, 16)).unwrap();
+        fleet.ingest("l", &rows(100, 64, 1, 1.0)).unwrap();
+        let before = positions(&fleet);
+        // Good rows on both shards around one bad row of each kind.
+        for bad in [vec![64], vec![1, 2]] {
+            let mut batch = rows(40, 64, 3, 1.0);
+            batch.insert(20, (bad, 1.0));
+            let err = fleet.ingest("l", &batch).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DctError::ValueOutOfDomain { .. } | DctError::ArityMismatch { .. }
+                ),
+                "{err}"
+            );
+            assert_eq!(
+                positions(&fleet),
+                before,
+                "a shard applied part of the batch"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_root_registry_opens_its_directory_as_the_only_shard() {
+        let dir = tmp("root");
+        {
+            let (gd, _) = crate::GroupDurable::open_dir(&dir, RecoveryOptions::default()).unwrap();
+            gd.register("l", cosine(64, 16)).unwrap();
+            gd.register("r", cosine(64, 16)).unwrap();
+            for (t, w) in rows(300, 64, 1, 1.0) {
+                gd.with(|dp| dp.process_weighted("l", &t, w)).unwrap();
+            }
+            for (t, w) in rows(300, 64, 5, 2.0) {
+                gd.with(|dp| dp.process_weighted("r", &t, w)).unwrap();
+            }
+            gd.sync().unwrap();
+        }
+        let (root, report) = ShardedRegistry::open_root(&dir, FleetOptions::default()).unwrap();
+        assert_eq!(report.replayed, 602);
+        assert!(!root.has_followers());
+        assert_eq!(root.shards(), 1);
+        assert_eq!(root.events_processed(), 600);
+        let reference = {
+            let mut single = crate::StreamProcessor::new();
+            single.register("l", cosine(64, 16)).unwrap();
+            single.register("r", cosine(64, 16)).unwrap();
+            for (t, w) in rows(300, 64, 1, 1.0) {
+                single.process_weighted("l", &t, w).unwrap();
+            }
+            for (t, w) in rows(300, 64, 5, 2.0) {
+                single.process_weighted("r", &t, w).unwrap();
+            }
+            single_estimate(&mut single)
+        };
+        assert_eq!(estimate(&root).0.to_bits(), reference.to_bits());
+        // No follower: nothing ships, and nothing can be killed.
+        assert!(root.ship_and_replay().unwrap().is_empty());
+        assert!(root.kill(0).is_err());
+        assert!(!dir.join(FLEET_MANIFEST_FILE).exists());
+        assert!(!dir.join("shard-00").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

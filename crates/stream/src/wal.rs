@@ -41,9 +41,10 @@
 //! buffer is handed to the OS *and* fsynced: `Always` (every append),
 //! `EveryN(n)` (every `n` appends), `Manual` (only on explicit
 //! [`Wal::sync`] / checkpoint), or `Group` (buffered like `Manual`, with
-//! fsyncs driven by a [`GroupWal`] leader that amortizes one fsync over
-//! every record queued behind it). Data past the last sync has no
-//! durability guarantee — that is the contract recovery tests enforce.
+//! fsyncs driven by a [`crate::GroupDurable`] leader that amortizes one
+//! fsync over every record queued behind it). Data past the last sync
+//! has no durability guarantee — that is the contract recovery tests
+//! enforce.
 //!
 //! Rotation is tied to checkpoints: [`Wal::note_checkpoint`] records
 //! that a manifest now covers every record up to a watermark, starts a
@@ -59,7 +60,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 #[cfg(test)]
 use std::time::Duration;
 
@@ -709,16 +710,16 @@ pub enum SyncPolicy {
     EveryN(u64),
     /// Sync only on explicit [`Wal::sync`] (checkpoints always sync).
     Manual,
-    /// Group commit: appends are buffered (like `Manual`) and a
-    /// group-commit front end — [`GroupWal`], or `GroupDurable` in the
-    /// recovery module — fsyncs on behalf of every record queued behind
-    /// a leader, acknowledging each caller only after the fsync that
-    /// covers its record returns. Two behavioral differences from
-    /// `Manual` inside the log itself: rotation fsyncs the outgoing
-    /// segment when it holds unsynced bytes (so a later group fsync of
-    /// the *active* segment never implicitly acknowledges bytes parked
-    /// in a rotated-away file), and nothing is ever acknowledged without
-    /// an explicit sync, exactly as under `Manual`.
+    /// Group commit: appends are buffered (like `Manual`) and the
+    /// group-commit front end, [`crate::GroupDurable`], fsyncs on behalf
+    /// of every record queued behind a leader, acknowledging each caller
+    /// only after the fsync that covers its record returns. Two
+    /// behavioral differences from `Manual` inside the log itself:
+    /// rotation fsyncs the outgoing segment when it holds unsynced
+    /// bytes (so a later group fsync of the *active* segment never
+    /// implicitly acknowledges bytes parked in a rotated-away file), and
+    /// nothing is ever acknowledged without an explicit sync, exactly as
+    /// under `Manual`.
     Group,
 }
 
@@ -1148,8 +1149,7 @@ impl<S: WalStorage> Wal<S> {
     }
 
     /// Encode and buffer one record without running the sync policy,
-    /// returning `(seq, frame_len)`. [`GroupWal`] calls this under its
-    /// own lock and leaves the fsync to the group leader.
+    /// returning `(seq, frame_len)`.
     fn append_buffered(&mut self, record: &WalRecord) -> Result<(u64, usize)> {
         self.check_wedged()?;
         let body = record.encode();
@@ -1419,234 +1419,6 @@ impl<S: WalStorage> WalStorage for SharedStorage<S> {
 
     fn write_atomic(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
         lock_unpoisoned(&self.inner).write_atomic(name, data)
-    }
-}
-
-#[derive(Debug)]
-struct GroupCore<S: WalStorage> {
-    wal: Wal<SharedStorage<S>>,
-    /// Highest sequence number covered by a completed fsync.
-    durable: u64,
-    /// A leader's fsync is in flight.
-    syncing: bool,
-}
-
-#[derive(Debug)]
-struct GroupShared<S: WalStorage> {
-    core: Mutex<GroupCore<S>>,
-    cv: Condvar,
-    /// The leader's private handle for fsyncing outside `core`.
-    storage: SharedStorage<S>,
-}
-
-/// Group-commit front end over a [`Wal`]: many threads append
-/// concurrently, one *leader* fsyncs on behalf of everyone queued
-/// behind it, and every caller blocks until **its own** record is
-/// durable — the ack-after-fsync invariant of [`SyncPolicy::Always`] at
-/// a fraction of the fsync count.
-///
-/// Protocol: [`Self::append`] buffers the record under the log lock
-/// ([`Self::enqueue`]), then waits ([`Self::wait_durable`]). The first
-/// waiter that finds no fsync in flight becomes leader: it flushes the
-/// buffer into the active segment under the lock, notes the covered
-/// watermark, releases the lock, fsyncs through the shared storage
-/// handle, re-acquires the lock, publishes the new durable watermark,
-/// and wakes every waiter. Records appended *during* the fsync are not
-/// covered by it — their writers stay blocked and the next leader picks
-/// them all up with a single fsync. A flush or fsync failure wedges the
-/// log and fails every waiter, exactly like [`Wal`] under `Always`.
-///
-/// Handles are cheap clones of one shared log; the sync policy is
-/// forced to [`SyncPolicy::Group`].
-#[derive(Debug)]
-pub struct GroupWal<S: WalStorage> {
-    shared: Arc<GroupShared<S>>,
-}
-
-impl<S: WalStorage> Clone for GroupWal<S> {
-    fn clone(&self) -> Self {
-        GroupWal {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<S: WalStorage> GroupWal<S> {
-    /// Open a group-commit log over `storage`, replaying whatever it
-    /// holds (see [`Wal::open`]).
-    pub fn open(storage: S, mut opts: WalOptions, after: u64) -> Result<(Self, ReplayOutcome)> {
-        opts.sync = SyncPolicy::Group;
-        let (wal, outcome) = Wal::open(SharedStorage::new(storage), opts, after)?;
-        Ok((Self::from_wal(wal), outcome))
-    }
-
-    /// Wrap an already-open log whose storage is shared. The sync
-    /// policy is forced to [`SyncPolicy::Group`]; records not covered
-    /// by a completed sync count as not yet durable.
-    pub fn from_wal(mut wal: Wal<SharedStorage<S>>) -> Self {
-        wal.opts.sync = SyncPolicy::Group;
-        let durable = wal.watermark().saturating_sub(wal.unsynced);
-        let storage = wal.storage.clone();
-        GroupWal {
-            shared: Arc::new(GroupShared {
-                core: Mutex::new(GroupCore {
-                    wal,
-                    durable,
-                    syncing: false,
-                }),
-                cv: Condvar::new(),
-                storage,
-            }),
-        }
-    }
-
-    /// Append one record and block until it is durable on storage.
-    pub fn append(&self, record: &WalRecord) -> Result<u64> {
-        let seq = self.enqueue(record)?;
-        self.wait_durable(seq)?;
-        Ok(seq)
-    }
-
-    /// Buffer one record and return its sequence number **without**
-    /// waiting for durability: the record is only crash-safe once
-    /// [`Self::wait_durable`] returns for its sequence. Split from
-    /// [`Self::append`] so a caller can assign the sequence under its
-    /// own ordering lock and wait outside it.
-    pub fn enqueue(&self, record: &WalRecord) -> Result<u64> {
-        let _span = dctstream_obs::span!("wal.append");
-        let mut core = lock_unpoisoned(&self.shared.core);
-        let (seq, frame_len) = core.wal.append_buffered(record)?;
-        dctstream_obs::counter_add!("wal.appends", 1);
-        dctstream_obs::counter_add!("wal.append_bytes", frame_len as u64);
-        Ok(seq)
-    }
-
-    /// Block until every record with sequence ≤ `seq` is fsynced,
-    /// becoming the fsync leader when no fsync is in flight.
-    pub fn wait_durable(&self, seq: u64) -> Result<()> {
-        let shared = &*self.shared;
-        let mut core = lock_unpoisoned(&shared.core);
-        loop {
-            if core.durable >= seq {
-                return Ok(());
-            }
-            core.wal.check_wedged()?;
-            if core.syncing {
-                core = shared.cv.wait(core).unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            // Leader. Claim the syncing flag up front and hold it through
-            // a bounded commit window: later arrivals park on the condvar
-            // instead of racing for leadership, while concurrent writers
-            // keep enqueueing (enqueue never checks the flag), so each
-            // scheduler yield grows the batch this fsync will cover. The
-            // window closes as soon as the watermark stops moving, so a
-            // lone writer pays one ~1µs yield and a steady stream cannot
-            // starve the fsync.
-            core.syncing = true;
-            let mut last_wm = core.wal.watermark();
-            for _ in 0..GROUP_COMMIT_WINDOW {
-                drop(core);
-                std::thread::yield_now();
-                core = lock_unpoisoned(&shared.core);
-                let wm = core.wal.watermark();
-                if wm == last_wm {
-                    break;
-                }
-                last_wm = wm;
-            }
-            // Flush under the lock, fsync outside it.
-            let name = match core.wal.flush_active() {
-                Ok(Some(name)) => name,
-                Ok(None) => {
-                    // No active segment: everything appended so far was
-                    // flushed and fsynced by a checkpoint rotation.
-                    core.syncing = false;
-                    core.durable = core.wal.watermark();
-                    shared.cv.notify_all();
-                    continue;
-                }
-                Err(e) => {
-                    // flush_to_storage wedged the log; fail every waiter.
-                    core.syncing = false;
-                    shared.cv.notify_all();
-                    return Err(e);
-                }
-            };
-            let covered = core.wal.watermark();
-            let retry = core.wal.opts.retry.clone();
-            drop(core);
-            let res = {
-                let _span = dctstream_obs::span!("wal.fsync");
-                let mut storage = shared.storage.clone();
-                retry.run(|| storage.sync(&name))
-            };
-            core = lock_unpoisoned(&shared.core);
-            core.syncing = false;
-            match res {
-                Ok(()) => {
-                    if covered > core.durable {
-                        core.durable = covered;
-                    }
-                    let durable = core.durable;
-                    core.wal.note_synced_through(durable);
-                    dctstream_obs::counter_add!("wal.fsyncs", 1);
-                    shared.cv.notify_all();
-                }
-                Err(e) => {
-                    let detail = format!("syncing segment: {e}");
-                    core.wal.wedge(detail.clone());
-                    shared.cv.notify_all();
-                    return Err(wal_err(&name, core.wal.segment_len, None, detail));
-                }
-            }
-        }
-    }
-
-    /// Make every record appended so far durable (group-commit
-    /// equivalent of [`Wal::sync`]).
-    pub fn sync(&self) -> Result<()> {
-        let wm = lock_unpoisoned(&self.shared.core).wal.watermark();
-        self.wait_durable(wm)
-    }
-
-    /// Checkpoint hook: fsync everything appended so far, then rotate
-    /// and retire covered segments (see [`Wal::note_checkpoint`]).
-    /// Holds the log lock across the fsync — checkpoints are rare and
-    /// need a stable watermark anyway — and first waits out any
-    /// in-flight leader so its fsync cannot target a segment this call
-    /// retires.
-    pub fn note_checkpoint(&self, watermark: u64) -> Result<usize> {
-        let shared = &*self.shared;
-        let mut core = lock_unpoisoned(&shared.core);
-        while core.syncing {
-            core = shared.cv.wait(core).unwrap_or_else(|e| e.into_inner());
-        }
-        core.wal.sync()?;
-        core.durable = core.wal.watermark();
-        shared.cv.notify_all();
-        core.wal.note_checkpoint(watermark)
-    }
-
-    /// Sequence number of the last appended record (0 before any).
-    pub fn watermark(&self) -> u64 {
-        lock_unpoisoned(&self.shared.core).wal.watermark()
-    }
-
-    /// Highest sequence number covered by a completed fsync.
-    pub fn durable_watermark(&self) -> u64 {
-        lock_unpoisoned(&self.shared.core).durable
-    }
-
-    /// Whether an earlier storage failure wedged the log.
-    pub fn is_wedged(&self) -> bool {
-        lock_unpoisoned(&self.shared.core).wal.is_wedged()
-    }
-
-    /// A handle to the shared storage (tests reach fault-injection
-    /// controls through it).
-    pub fn storage_handle(&self) -> SharedStorage<S> {
-        self.shared.storage.clone()
     }
 }
 

@@ -5,20 +5,20 @@
 //! while amortizing one fsync over every record queued behind the
 //! leader. Three legs:
 //!
-//! - N writer threads through one [`GroupWal`]: every acknowledged
-//!   sequence number is on storage afterwards, and the fsync count
+//! - N writer threads through one [`GroupDurable`]: the recovered
+//!   registry absorbs every acknowledged update, and the fsync count
 //!   (observed via the `obs` `wal.fsyncs` counter) is a fraction of the
 //!   record count.
-//! - The same through [`GroupDurable`], checking the recovered registry
-//!   absorbs every acknowledged update.
+//! - N writers batching into a 2-shard [`ShardedRegistry`], whose
+//!   shards run on `GroupDurable`: they share each shard's fsync.
 //! - A kill sweep at every fsync boundary with a storage that *drops
 //!   unsynced bytes* at the kill (a power cut loses the page cache):
 //!   an acknowledged record must never be among the dropped bytes.
 
 use dctstream_core::{CosineSynopsis, Domain, Grid};
 use dctstream_stream::{
-    DurableProcessor, GroupDurable, GroupWal, MemStorage, RecoveryOptions, RetryPolicy, Summary,
-    SyncPolicy, Wal, WalOptions, WalRecord, WalStorage,
+    DurableProcessor, FleetOptions, GroupDurable, MemStorage, RecoveryOptions, RetryPolicy,
+    ShardedRegistry, Summary, SyncPolicy, WalOptions, WalStorage,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -108,55 +108,6 @@ impl WalStorage for SlowSync {
 
 const WRITERS: usize = 8;
 const PER_WRITER: usize = 64;
-
-#[test]
-fn concurrent_group_wal_acks_survive_and_share_fsyncs() {
-    let _w = obs_window();
-    dctstream_obs::set_enabled(true);
-    let fsyncs_before = counter("wal.fsyncs");
-
-    let mem = MemStorage::new();
-    let (gw, _) = GroupWal::open(SlowSync::new(mem.clone()), wal_opts(), 0).unwrap();
-
-    let mut handles = Vec::new();
-    for t in 0..WRITERS {
-        let gw = gw.clone();
-        handles.push(thread::spawn(move || {
-            let mut acked = Vec::new();
-            for i in 0..PER_WRITER {
-                let v = (t * PER_WRITER + i) as i64;
-                let seq = gw.append(&WalRecord::weighted("s", &[v], 1.0)).unwrap();
-                acked.push(seq);
-            }
-            acked
-        }));
-    }
-    let mut acked: Vec<u64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().unwrap())
-        .collect();
-    acked.sort_unstable();
-
-    let total = (WRITERS * PER_WRITER) as u64;
-    let expect: Vec<u64> = (1..=total).collect();
-    assert_eq!(acked, expect, "each append gets a distinct sequence");
-    assert_eq!(gw.durable_watermark(), total, "every ack is durable");
-
-    let fsyncs = counter("wal.fsyncs") - fsyncs_before;
-    dctstream_obs::set_enabled(false);
-    assert!(fsyncs >= 1);
-    assert!(
-        fsyncs * 2 < total,
-        "group commit must amortize fsyncs: {fsyncs} fsyncs for {total} records"
-    );
-
-    // Every acknowledged sequence number is on storage.
-    let (_, outcome) = Wal::open(mem, wal_opts(), 0).unwrap();
-    let replayed: Vec<u64> = outcome.records.iter().map(|(seq, _)| *seq).collect();
-    for seq in &acked {
-        assert!(replayed.contains(seq), "acked seq {seq} missing on storage");
-    }
-}
 
 #[test]
 fn concurrent_group_durable_recovers_every_acked_update() {
@@ -482,4 +433,50 @@ fn single_threaded_group_commit_matches_always() {
         b.processor_mut().checkpoint_bytes().unwrap(),
         "group-commit recovery diverges from Always"
     );
+}
+
+/// Concurrent ingests into a fleet share each shard's group fsync: a
+/// batch spanning both shards of a 2-shard fleet needs two fsyncs on
+/// its own, and eight writers together need fewer than two per batch.
+#[test]
+fn fleet_concurrent_ingests_share_each_shards_fsync() {
+    const BATCHES: usize = 24;
+    let _w = obs_window();
+    let dir = std::env::temp_dir().join(format!("dctgroup_fleet_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = ShardedRegistry::create(&dir, 2, FleetOptions::default()).unwrap();
+    fleet.register("s", summary()).unwrap();
+    let fleet = Arc::new(fleet);
+    let rows: Vec<(Vec<i64>, f64)> = (0..16).map(|v| (vec![v], 1.0)).collect();
+    assert!(
+        rows.iter().any(|r| fleet.route(&r.0) == 0) && rows.iter().any(|r| fleet.route(&r.0) == 1),
+        "every batch must span both shards"
+    );
+
+    dctstream_obs::set_enabled(true);
+    let fsyncs_before = counter("wal.fsyncs");
+    let handles: Vec<_> = (0..WRITERS)
+        .map(|_| {
+            let (fleet, rows) = (Arc::clone(&fleet), rows.clone());
+            thread::spawn(move || {
+                for _ in 0..BATCHES {
+                    fleet.ingest("s", &rows).unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let fsyncs = counter("wal.fsyncs") - fsyncs_before;
+    dctstream_obs::set_enabled(false);
+
+    let ingests = (WRITERS * BATCHES) as u64;
+    assert_eq!(fleet.events_processed(), ingests * rows.len() as u64);
+    assert!(
+        fsyncs < ingests * 2,
+        "concurrent ingests must share fsyncs: {fsyncs} fsyncs for {ingests} two-shard ingests"
+    );
+    drop(fleet);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
