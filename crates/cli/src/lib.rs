@@ -153,10 +153,11 @@ pub enum Command {
         out: PathBuf,
         /// Skip the first line.
         skip_header: bool,
-        /// Worker threads for the one coalesced flush (1 = serial).
+        /// Worker threads for parsing the input and for the one
+        /// coalesced flush (1 = serial).
         threads: usize,
         /// Route every tuple through a write-ahead-logged registry in
-        /// this directory (crash-durable ingestion; serial only).
+        /// this directory (crash-durable ingestion).
         wal_dir: Option<PathBuf>,
         /// Typed-intake settings (`--schema` et al.).
         intake: IntakeFlags,
@@ -469,9 +470,11 @@ pub fn usage() -> &'static str {
        fleet-ship    DIR\n\
        fleet-promote DIR --shard I\n\
      build coalesces accepted rows into one net weight per value and\n\
-     applies them in one flush; --threads N splits that flush (and merge's\n\
-     combining) across N shard-and-merge worker threads (exact up to\n\
-     floating-point rounding; N=1 is the serial path)\n\
+     applies them in one flush; --threads N parses the input on N workers\n\
+     (rows still reach the synopsis, WAL and --rejects in file order) and\n\
+     splits that flush (and merge's combining) across N shard-and-merge\n\
+     worker threads (exact up to floating-point rounding; N=1 is the\n\
+     serial path)\n\
      probe infers a typed .schema (int/float/bool/text columns, observed\n\
      domains, header detection) from the first N rows; verify checks a\n\
      file against a schema and reports every reject with row/column/cause\n\
@@ -488,7 +491,8 @@ pub fn usage() -> &'static str {
      restore validates it and reports (or --extract's) every stream\n\
      --wal-dir DIR (build, checkpoint) write-ahead logs every event into\n\
      DIR so a crash mid-ingest loses nothing past the last synced record\n\
-     (build --wal-dir writes the same bytes as the plain serial build);\n\
+     (build --wal-dir writes the same bytes as the plain serial build,\n\
+     at any --threads);\n\
      wal-replay recovers DIR and reports (or --checkpoint's) the result;\n\
      health reports each stream's supervisor state, scrub audits live\n\
      summaries and durable checksums (demoting damaged streams), repair\n\
@@ -711,12 +715,6 @@ pub fn parse(args: &[String]) -> CliResult<Command> {
         "build" => {
             let threads = f.count("threads")?.unwrap_or(1);
             let wal_dir = f.opt("wal-dir")?;
-            if wal_dir.is_some() && threads > 1 {
-                return Err(usage_err(
-                    "--wal-dir logs events one at a time and needs the serial \
-                     path; drop --threads or the WAL",
-                ));
-            }
             Command::Build {
                 input: f.req("input")?,
                 column: f.req("column")?,
@@ -1179,7 +1177,8 @@ pub fn run(cmd: Command) -> CliResult<String> {
         } => {
             let mut syn = CosineSynopsis::new(Domain::new(domain.0, domain.1), Grid::Midpoint, m)?;
             let coefficients = syn.coefficient_count();
-            let typed = TypedInput::open(&input, &intake, skip_header, vec![column])?;
+            let mut typed = TypedInput::open(&input, &intake, skip_header, vec![column])?;
+            typed.opts.threads = threads;
             let (report, wal_note) = match wal_dir {
                 None => {
                     let report = typed.run(&mut CosineSink::new(&mut syn, threads, &[column]))?;
@@ -2116,14 +2115,16 @@ mod tests {
             matches!(&cmd, Command::Build { wal_dir: Some(d), .. } if d == &PathBuf::from("w")),
             "{cmd:?}"
         );
-        // The WAL path logs one event at a time; it has no parallel mode.
-        assert!(matches!(
-            parse(&args(
-                "build --input in.csv --column 0 --domain 0:9 -m 4 --out s.dcts \
-                 --wal-dir w --threads 4"
-            )),
-            Err(CliError::Usage(_))
-        ));
+        // Rows reach the WAL in file order at any worker count.
+        let cmd = parse(&args(
+            "build --input in.csv --column 0 --domain 0:9 -m 4 --out s.dcts \
+             --wal-dir w --threads 4",
+        ))
+        .unwrap();
+        assert!(
+            matches!(&cmd, Command::Build { wal_dir: Some(d), threads: 4, .. } if d == &PathBuf::from("w")),
+            "{cmd:?}"
+        );
     }
 
     #[test]
@@ -2707,6 +2708,44 @@ mod tests {
         let (dp, report) = DurableProcessor::open(&wal).unwrap();
         assert_eq!(report.replayed, 0);
         assert_eq!(dp.processor().flush_threshold(), None);
+    }
+
+    #[test]
+    fn durable_build_with_threads_matches_the_serial_durable_build() {
+        // About 2.4 MB, so the input spans several parse blocks, with a
+        // bad value or an out-of-domain key every 997th row.
+        let csv = tmp("wal_threads.csv");
+        let rows: String = (0..100_000u64)
+            .map(|i| match i % 997 {
+                5 => format!("x{i},padding-padding-pad\n"),
+                9 => format!("{},padding-padding-pad\n", 200 + i % 7),
+                _ => format!("{},padding-padding-pad\n", (i * i) % 97 + i % 3),
+            })
+            .collect();
+        fs::write(&csv, rows).unwrap();
+        let build = format!(
+            "build --input {} --column 0 --domain 0:127 -m 64",
+            csv.display()
+        );
+        let (out, rejects) = (tmp("wal_threads.dcts"), tmp("wal_threads.rejects"));
+        let mut runs = Vec::new();
+        for threads in [1, 2] {
+            let wal = tmp(&format!("wal_threads_dir{threads}"));
+            let _ = fs::remove_dir_all(&wal);
+            let report = cli(&format!(
+                "{build} --wal-dir {} --threads {threads} --rejects {} --out {}",
+                wal.display(),
+                rejects.display(),
+                out.display()
+            ))
+            .unwrap();
+            let report = report.replace(&wal.display().to_string(), "WAL");
+            runs.push((fs::read(&out).unwrap(), fs::read(&rejects).unwrap(), report));
+        }
+        assert!(runs[0].2.contains("(202 rejected)"), "{}", runs[0].2);
+        assert!(runs[0].0 == runs[1].0, "synopsis bytes differ");
+        assert!(runs[0].1 == runs[1].1, "rejects ledgers differ");
+        assert_eq!(runs[0].2, runs[1].2);
     }
 
     #[test]

@@ -108,3 +108,73 @@ fn widest_indexable_domain_writes_finite_coefficients() {
         dctstream_cli::AnySynopsis::Multi(_) => panic!("expected a 1-d synopsis"),
     }
 }
+
+/// `build` with `--input FILE` or `--input -` at `--threads N`: its
+/// stdout, synopsis file and `--rejects` ledger.
+fn build_outputs(input: &[u8], from_stdin: bool, threads: usize) -> (String, Vec<u8>, Vec<u8>) {
+    let (csv, out, rejects) = (
+        scratch("order.csv"),
+        scratch("order.dcts"),
+        scratch("order.rejects"),
+    );
+    std::fs::write(&csv, input).unwrap();
+    let mut build = dctstream();
+    build
+        .args(["build", "--column", "0", "--domain", "0:899", "-m", "16"])
+        .args([
+            "--skip-header",
+            "--threads",
+            &threads.to_string(),
+            "--input",
+        ])
+        .arg(if from_stdin {
+            "-".as_ref()
+        } else {
+            csv.as_os_str()
+        })
+        .arg("--out")
+        .arg(&out)
+        .arg("--rejects")
+        .arg(&rejects)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped());
+    let mut child = build.spawn().expect("spawn dctstream build");
+    let mut stdin = child.stdin.take().unwrap();
+    if from_stdin {
+        stdin.write_all(input).unwrap();
+    }
+    drop(stdin);
+    let run = child.wait_with_output().unwrap();
+    assert!(run.status.success(), "{run:?}");
+    let stdout = String::from_utf8(run.stdout).unwrap();
+    (
+        stdout,
+        std::fs::read(&out).unwrap(),
+        std::fs::read(&rejects).unwrap(),
+    )
+}
+
+/// A multi-block input read from a file or from stdin, on one or two
+/// parse workers, yields the same report and ledger; the synopsis bytes
+/// match wherever the flush's worker count does.
+#[test]
+fn stdin_and_file_builds_agree_at_every_worker_count() {
+    // About 3 MB: keys over 899 and non-numeric keys are rejected.
+    let mut input = b"key,note\r\n".to_vec();
+    for i in 0..300_000u64 {
+        let line = match i % 1009 {
+            7 => format!("k{i},bad\n"),
+            _ => format!("{},\"row, {i}\"\r\n", (i * 7) % 1000),
+        };
+        input.extend_from_slice(line.as_bytes());
+    }
+    let serial = build_outputs(&input, false, 1);
+    assert!(serial.0.contains("rows rejected"), "{}", serial.0);
+    for threads in [1, 2] {
+        let file = build_outputs(&input, false, threads);
+        let stdin = build_outputs(&input, true, threads);
+        assert_eq!(stdin, file, "{threads} workers");
+        assert_eq!(file.0, serial.0, "{threads} workers");
+        assert!(file.2 == serial.2, "{threads} workers: ledgers differ");
+    }
+}

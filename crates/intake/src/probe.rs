@@ -14,8 +14,8 @@
 //! to enforce — the handful of malformed values must surface as
 //! *attributed rejects*, not silently widen the schema.
 
-use crate::csv::split_fields;
-use crate::schema::{Column, ColumnType, Schema};
+use crate::csv::split_fields_into;
+use crate::schema::{fast_i64, parse_bool, scale_float, Column, ColumnType, Schema};
 use std::io::BufRead;
 
 /// Options controlling a probe pass.
@@ -58,15 +58,50 @@ pub struct ProbeReport {
     pub rows_skipped: u64,
 }
 
-/// Per-column evidence accumulated over the sample. Failures are
+/// Float scales a column may resolve to: `10^0 ..= 10^MAX_FRAC_DIGITS`.
+/// Beyond 10^6 a file almost certainly carries measurement noise, not
+/// fixed-point data.
+const MAX_FRAC_DIGITS: u32 = 6;
+
+/// The smallest and largest normalized value seen under one candidate
+/// type.
+#[derive(Clone, Copy)]
+struct MinMax {
+    lo: i64,
+    hi: i64,
+}
+
+impl MinMax {
+    const EMPTY: MinMax = MinMax {
+        lo: i64::MAX,
+        hi: i64::MIN,
+    };
+
+    fn add(&mut self, v: i64) {
+        self.lo = self.lo.min(v);
+        self.hi = self.hi.max(v);
+    }
+
+    fn domain(self) -> Option<(i64, i64)> {
+        (self.lo <= self.hi).then_some((self.lo, self.hi))
+    }
+}
+
+/// Per-column evidence folded in one record at a time. Failures are
 /// counted, not fatal: the dominant type wins as long as outliers stay
-/// within [`ProbeOptions::type_tolerance`].
+/// within [`ProbeOptions::type_tolerance`]. The observed range is kept
+/// under every candidate type — one per float scale, since a value may
+/// fit an `i64` at one scale and overflow at the next — so the domain is
+/// known whichever type wins, without keeping the values.
 struct Evidence {
     seen: u64,
     int_fail: u64,
     float_fail: u64,
     bool_fail: u64,
     max_frac_digits: u32,
+    int: MinMax,
+    float: [MinMax; MAX_FRAC_DIGITS as usize + 1],
+    boolean: MinMax,
 }
 
 impl Evidence {
@@ -77,75 +112,68 @@ impl Evidence {
             float_fail: 0,
             bool_fail: 0,
             max_frac_digits: 0,
+            int: MinMax::EMPTY,
+            float: [MinMax::EMPTY; MAX_FRAC_DIGITS as usize + 1],
+            boolean: MinMax::EMPTY,
         }
     }
 
+    /// Parse `raw` once per candidate type, as `Column::normalize`
+    /// would under each.
     fn observe(&mut self, raw: &str) {
         let t = raw.trim();
         self.seen += 1;
-        if t.parse::<i64>().is_err() {
-            self.int_fail += 1;
+        let int = fast_i64(t.as_bytes());
+        match int {
+            Some(v) => self.int.add(v),
+            None => self.int_fail += 1,
         }
-        match t.parse::<f64>() {
-            Ok(v) if v.is_finite() => {
+        // An integer token reads as the same (correctly rounded) f64
+        // either way, so it is not parsed twice.
+        match int.map(|v| v as f64).or_else(|| t.parse::<f64>().ok()) {
+            Some(v) if v.is_finite() => {
                 if let Some(frac) = frac_digits(t) {
                     self.max_frac_digits = self.max_frac_digits.max(frac);
+                }
+                let mut scale = 1;
+                for range in &mut self.float {
+                    if let Some(s) = scale_float(v, scale) {
+                        range.add(s);
+                    }
+                    scale *= 10;
                 }
             }
             _ => self.float_fail += 1,
         }
-        if !is_bool_token(t) {
-            self.bool_fail += 1;
+        match parse_bool(t) {
+            Some(v) => self.boolean.add(v),
+            None => self.bool_fail += 1,
         }
     }
 
-    /// Re-observe the domain once the final type (and float scale) is
-    /// fixed.
-    fn resolve(&self, name: String, values: &[String], tolerance: f64) -> Column {
+    /// The column the evidence supports: its narrowest tolerated type,
+    /// with the observed range under that type as its domain.
+    fn resolve(&self, name: String, tolerance: f64) -> Column {
         // `floor` keeps tiny samples strict: at 5% tolerance a column
         // needs 20+ sampled values before a single outlier is forgiven.
         let allowed = (tolerance * self.seen as f64).floor() as u64;
-        let ty = if self.int_fail <= allowed {
-            ColumnType::Int
+        let (ty, domain) = if self.int_fail <= allowed {
+            (ColumnType::Int, self.int.domain())
         } else if self.float_fail <= allowed {
-            // Cap the scale at 10^6: beyond that the file almost
-            // certainly carries measurement noise, not fixed-point data.
-            let digits = self.max_frac_digits.min(6);
-            ColumnType::Float {
-                scale: 10u32.pow(digits),
-            }
+            let digits = self.max_frac_digits.min(MAX_FRAC_DIGITS);
+            (
+                ColumnType::Float {
+                    scale: 10u32.pow(digits),
+                },
+                self.float[digits as usize].domain(),
+            )
         } else if self.bool_fail <= allowed {
-            ColumnType::Bool
+            (ColumnType::Bool, self.boolean.domain())
         } else {
-            ColumnType::Text
+            (ColumnType::Text, None)
         };
-        let mut col = Column {
-            name,
-            ty,
-            domain: None,
-        };
-        if ty != ColumnType::Text {
-            let mut min = i64::MAX;
-            let mut max = i64::MIN;
-            for raw in values {
-                if let Ok(Some(v)) = col.normalize(raw) {
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-            }
-            if min <= max {
-                col.domain = Some((min, max));
-            }
-        }
-        col
+        Column { name, ty, domain }
     }
-}
-
-fn is_bool_token(t: &str) -> bool {
-    matches!(
-        t.to_ascii_lowercase().as_str(),
-        "true" | "t" | "yes" | "y" | "1" | "false" | "f" | "no" | "n" | "0"
-    )
 }
 
 /// Count decimal digits after the '.' in a numeric token (None when the
@@ -158,7 +186,7 @@ fn frac_digits(t: &str) -> Option<u32> {
 
 fn numericish(raw: &str) -> bool {
     let t = raw.trim();
-    t.parse::<f64>().is_ok() || is_bool_token(t)
+    t.parse::<f64>().is_ok() || parse_bool(t).is_some()
 }
 
 fn sanitize_name(raw: &str, index: usize) -> String {
@@ -185,6 +213,11 @@ fn sanitize_name(raw: &str, index: usize) -> String {
 
 /// Infer a [`Schema`] from sampled records.
 ///
+/// One pass, in memory independent of the sample size: each record is
+/// split into one reused scratch vector and folded into per-column
+/// evidence as it arrives. Only the first record is kept whole, until
+/// the end settles whether it is a header.
+///
 /// Errors only when the input holds no usable record at all; individual
 /// malformed rows are skipped and counted in the [`ProbeReport`].
 pub fn probe<R: BufRead>(
@@ -192,16 +225,21 @@ pub fn probe<R: BufRead>(
     opts: &ProbeOptions,
 ) -> std::io::Result<(Schema, ProbeReport)> {
     let mut raw = Vec::new();
-    let mut records: Vec<Vec<String>> = Vec::new();
+    let mut fields = Vec::new();
+    let mut first: Vec<String> = Vec::new();
+    let mut evidence: Vec<Evidence> = Vec::new();
+    // "Names over numbers": the first record has a non-numeric field
+    // where the second has a numeric one.
+    let mut looks_like_header = false;
+    let mut records = 0usize;
     let mut skipped = 0u64;
-    let mut arity: Option<usize> = None;
     let limit = if opts.sample_rows == 0 {
         usize::MAX
     } else {
         // +1 so a header row does not eat into the sample.
         opts.sample_rows.saturating_add(1)
     };
-    while records.len() < limit {
+    while records < limit {
         raw.clear();
         if reader.read_until(b'\n', &mut raw)? == 0 {
             break;
@@ -210,7 +248,7 @@ pub fn probe<R: BufRead>(
             raw.pop();
         }
         if raw.iter().all(|b| b.is_ascii_whitespace()) {
-            if !raw.is_empty() || !records.is_empty() {
+            if !raw.is_empty() || records > 0 {
                 skipped += 1;
             }
             continue;
@@ -219,67 +257,59 @@ pub fn probe<R: BufRead>(
             skipped += 1;
             continue;
         };
-        let Ok(fields) = split_fields(line, opts.delimiter) else {
+        if split_fields_into(line, opts.delimiter, &mut fields).is_err() {
             skipped += 1;
             continue;
-        };
-        match arity {
-            None => arity = Some(fields.len()),
-            Some(a) if fields.len() != a => {
+        }
+        if records == 0 {
+            first = fields.iter().map(|f| f.as_str(line).to_string()).collect();
+            evidence = first.iter().map(|_| Evidence::new()).collect();
+        } else {
+            if fields.len() != first.len() {
                 skipped += 1;
                 continue;
             }
-            Some(_) => {}
+            if records == 1 {
+                looks_like_header = first
+                    .iter()
+                    .zip(&fields)
+                    .any(|(h, v)| !numericish(h) && numericish(v.as_str(line)));
+            }
+            for (ev, field) in evidence.iter_mut().zip(&fields) {
+                ev.observe(field.as_str(line));
+            }
         }
-        records.push(fields);
+        records += 1;
     }
-    if records.is_empty() {
+    if records == 0 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "no usable records to probe",
         ));
     }
-
-    // Header detection: forced, or inferred when the first record has a
-    // non-numeric field in a position where the second record is
-    // numeric (classic "names over numbers" shape).
-    let has_header = opts.header.unwrap_or_else(|| {
-        records.len() >= 2
-            && records[0]
-                .iter()
-                .zip(records[1].iter())
-                .any(|(h, v)| !numericish(h) && numericish(v))
-    });
-    let data = if has_header {
-        &records[1..]
-    } else {
-        &records[..]
-    };
-    if data.is_empty() {
+    let has_header = opts.header.unwrap_or(looks_like_header);
+    if has_header && records == 1 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "only a header record to probe",
         ));
     }
-
-    let ncols = records[0].len();
-    let mut evidence: Vec<Evidence> = (0..ncols).map(|_| Evidence::new()).collect();
-    for rec in data {
-        for (ev, raw) in evidence.iter_mut().zip(rec.iter()) {
-            ev.observe(raw);
+    if !has_header {
+        for (ev, value) in evidence.iter_mut().zip(&first) {
+            ev.observe(value);
         }
     }
+    let tolerance = opts.type_tolerance.clamp(0.0, 1.0);
     let columns: Vec<Column> = evidence
         .iter()
         .enumerate()
         .map(|(i, ev)| {
             let name = if has_header {
-                sanitize_name(&records[0][i], i)
+                sanitize_name(&first[i], i)
             } else {
                 format!("c{i}")
             };
-            let values: Vec<String> = data.iter().map(|r| r[i].clone()).collect();
-            ev.resolve(name, &values, opts.type_tolerance.clamp(0.0, 1.0))
+            ev.resolve(name, tolerance)
         })
         .collect();
     Ok((
@@ -289,7 +319,7 @@ pub fn probe<R: BufRead>(
             columns,
         },
         ProbeReport {
-            rows_sampled: data.len() as u64,
+            rows_sampled: (records - usize::from(has_header)) as u64,
             rows_skipped: skipped,
         },
     ))
@@ -433,5 +463,166 @@ mod tests {
         assert_eq!(schema.columns[0].name, "a_b_");
         let reparsed = Schema::parse(&schema.render()).unwrap();
         assert_eq!(reparsed, schema);
+    }
+
+    /// Every probe input of this module, plus overflow, exponent, sign
+    /// and bool-case edges, with the options each is probed under.
+    fn pinned_cases() -> Vec<(String, ProbeOptions)> {
+        let default = ProbeOptions::default;
+        let counting: String = (0..100).map(|i| format!("{i}\n")).collect();
+        let dominant: String = (0..100)
+            .map(|i| {
+                if i % 37 == 5 {
+                    "n/a\n".to_string()
+                } else {
+                    format!("{i}\n")
+                }
+            })
+            .collect();
+        vec![
+            (
+                "id,price,active,note\n1,9.25,true,alpha\n4,0.5,false,beta\n2,12.00,yes,gamma\n"
+                    .into(),
+                default(),
+            ),
+            ("5,6\n7,8\n".into(), default()),
+            (
+                "10,20\n1,2\n3,4\n".into(),
+                ProbeOptions {
+                    header: Some(true),
+                    ..default()
+                },
+            ),
+            (
+                "1,2\n\n\"unclosed,3\nbad,arity,here\n9,10\n4,5\n".into(),
+                default(),
+            ),
+            (
+                counting.clone(),
+                ProbeOptions {
+                    sample_rows: 10,
+                    ..default()
+                },
+            ),
+            (
+                counting,
+                ProbeOptions {
+                    sample_rows: 0,
+                    ..default()
+                },
+            ),
+            (dominant.clone(), default()),
+            (
+                dominant,
+                ProbeOptions {
+                    type_tolerance: 0.0,
+                    ..default()
+                },
+            ),
+            ("1\nn/a\n3\n".into(), default()),
+            ("a b!,price\n1,2.5\n3,4.25\n".into(), default()),
+            (
+                "v,w,b,s\n1.5,9223372036854775807,YES,-0\n9.2e18,-9223372036854775808,n,+5\n\
+                 -3.25,7,T,inf\n1e13,0.0000001,0,NaN\n0.1234567,8,No,x\n"
+                    .into(),
+                default(),
+            ),
+            (
+                "\n\n  \r\nh1;h2\r\n1;2\r\n;\r\n\"q;1\";3\r\n\"a\"\"b\";4\r\n".into(),
+                ProbeOptions {
+                    delimiter: b';',
+                    ..default()
+                },
+            ),
+            (
+                "x\n1\n".into(),
+                ProbeOptions {
+                    header: Some(false),
+                    ..default()
+                },
+            ),
+        ]
+    }
+
+    /// The (sampled, skipped) report and `.schema` text each of
+    /// [`pinned_cases`] must give.
+    const PINNED: [(u64, u64, &str); 13] = [
+        (
+            3,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader true\ncolumn 0 id int 1:4\ncolumn 1 price float:100 50:1200\ncolumn 2 active bool 0:1\ncolumn 3 note text\n",
+        ),
+        (
+            2,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader false\ncolumn 0 c0 int 5:7\ncolumn 1 c1 int 6:8\n",
+        ),
+        (
+            2,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader true\ncolumn 0 c0 int 1:3\ncolumn 1 c1 int 2:4\n",
+        ),
+        (
+            3,
+            3,
+            "dctstream-schema v1\ndelimiter ,\nheader false\ncolumn 0 c0 int 1:9\ncolumn 1 c1 int 2:10\n",
+        ),
+        (
+            11,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader false\ncolumn 0 c0 int 0:10\n",
+        ),
+        (
+            100,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader false\ncolumn 0 c0 int 0:99\n",
+        ),
+        (
+            100,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader false\ncolumn 0 c0 int 0:99\n",
+        ),
+        (
+            100,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader false\ncolumn 0 c0 text\n",
+        ),
+        (
+            3,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader false\ncolumn 0 c0 text\n",
+        ),
+        (
+            2,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader true\ncolumn 0 a_b_ int 1:3\ncolumn 1 price float:100 250:425\n",
+        ),
+        (
+            5,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader true\ncolumn 0 v float:1000000 -3250000:1500000\ncolumn 1 w float:1000000 0:8000000\ncolumn 2 b bool 0:1\ncolumn 3 s text\n",
+        ),
+        (
+            4,
+            1,
+            "dctstream-schema v1\ndelimiter ;\nheader true\ncolumn 0 h1 text\ncolumn 1 h2 text\n",
+        ),
+        (
+            2,
+            0,
+            "dctstream-schema v1\ndelimiter ,\nheader false\ncolumn 0 c0 text\n",
+        ),
+    ];
+
+    #[test]
+    fn rendered_schemas_are_pinned() {
+        for ((text, opts), (sampled, skipped, schema)) in pinned_cases().iter().zip(PINNED) {
+            let (got, report) = run(text, opts);
+            assert_eq!(got.render(), schema, "{text:?}");
+            assert_eq!(
+                (report.rows_sampled, report.rows_skipped),
+                (sampled, skipped)
+            );
+        }
     }
 }

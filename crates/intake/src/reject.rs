@@ -152,6 +152,10 @@ pub fn snippet(raw: &[u8]) -> String {
 /// The ledger accumulating rejects during one intake run.
 pub struct RejectLedger {
     counts: BTreeMap<&'static str, u64>,
+    /// `intake.rows_rejected_total{cause}` handles, looked up once per
+    /// cause: a `counter_add!` call site caches one handle, which would
+    /// count every cause under the first one seen.
+    counters: BTreeMap<&'static str, dctstream_obs::Counter>,
     sample: Vec<Reject>,
     sample_cap: usize,
     sidecar: Option<BufWriter<std::fs::File>>,
@@ -174,6 +178,7 @@ impl RejectLedger {
     pub fn new(sample_cap: usize) -> Self {
         Self {
             counts: BTreeMap::new(),
+            counters: BTreeMap::new(),
             sample: Vec::new(),
             sample_cap,
             sidecar: None,
@@ -191,8 +196,17 @@ impl RejectLedger {
     /// Record one reject. Never fails the run: sidecar write errors are
     /// deferred to [`RejectLedger::finish`].
     pub fn record(&mut self, row: u64, cause: RejectCause, raw: &[u8]) {
-        dctstream_obs::counter_add!("intake.rows_rejected_total", &[("cause", cause.label())], 1);
-        *self.counts.entry(cause.label()).or_insert(0) += 1;
+        let label = cause.label();
+        if dctstream_obs::enabled() {
+            self.counters
+                .entry(label)
+                .or_insert_with(|| {
+                    dctstream_obs::global()
+                        .counter_with("intake.rows_rejected_total", &[("cause", label)])
+                })
+                .add(1);
+        }
+        *self.counts.entry(label).or_insert(0) += 1;
         self.total += 1;
         let snip = snippet(raw);
         if let Some(w) = self.sidecar.as_mut() {

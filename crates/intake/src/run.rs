@@ -1,9 +1,11 @@
 //! The streaming intake driver and its sinks.
 //!
-//! [`run`] pulls raw lines off any `BufRead`, decodes → splits →
-//! type-checks → normalizes each record under a [`Schema`], records
-//! every failure in the [`RejectLedger`] with row/column/cause
-//! attribution, and feeds accepted rows to a [`RowSink`]. A configurable
+//! [`run`] cuts any `BufRead` into line-aligned blocks, decodes →
+//! splits → type-checks → normalizes each block's records under a
+//! [`Schema`] on [`IntakeOptions::threads`] workers, then applies the
+//! outcomes on the calling thread in file order: every failure is
+//! recorded in the [`RejectLedger`] with row/column/cause attribution
+//! and every accepted row is fed to a [`RowSink`]. A configurable
 //! reject-rate threshold stops a pathological stream early and marks the
 //! report quarantined so the caller can transition the stream through
 //! the `HealthRegistry`.
@@ -19,15 +21,19 @@
 //!   processor is wrapped in `GroupDurable`).
 //! - [`CountSink`] — accept and discard (the `verify` command).
 
-use crate::csv::{split_fields_into, RawField, SplitError};
+use crate::csv::{split_fields_into, RawField};
 use crate::reject::{IntakeReport, RejectCause, RejectLedger};
 use crate::schema::{Schema, ValueError};
 use dctstream_core::{CosineSynopsis, DctError, MultiDimSynopsis};
+use dctstream_stream::parallel::MAX_THREADS;
 use dctstream_stream::wal::WalStorage;
 use dctstream_stream::{DurableProcessor, ParallelIngest};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::BufRead;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 
 /// A fatal intake failure (I/O, sink breakage). Row-level problems are
 /// never errors — they land in the ledger.
@@ -115,6 +121,12 @@ pub struct IntakeOptions {
     /// Grace period before the threshold is evaluated, so one early bad
     /// row cannot quarantine a stream.
     pub threshold_min_rows: u64,
+    /// Parse workers (clamped to `1..=MAX_THREADS`). At 1 the calling
+    /// thread parses each block itself; above 1 that many scoped
+    /// workers parse blocks while the calling thread reads and applies
+    /// them. The sink and ledger see the same rows in the same order
+    /// either way.
+    pub threads: usize,
 }
 
 impl Default for IntakeOptions {
@@ -124,113 +136,146 @@ impl Default for IntakeOptions {
             weight: None,
             reject_threshold: None,
             threshold_min_rows: 200,
+            threads: 1,
         }
     }
 }
 
-/// Per-run scratch state shared by every line of one [`run`] call, so
-/// the hot loop reuses its buffers and never allocates per row.
-struct RowLoop<'a, S: RowSink> {
+/// Bytes the calling thread reads into one block before cutting it at
+/// its last line break.
+const BLOCK_BYTES: usize = 1 << 20;
+
+/// Blocks each worker may have queued or parsed but not yet applied.
+/// This bounds the pipeline's memory at about `2 × threads` blocks, even
+/// on unbounded stdin input.
+const BLOCKS_PER_WORKER: usize = 2;
+
+/// A line-aligned run of input lines and, once parsed, their outcomes.
+/// Blocks are recycled, so their buffers keep their capacity.
+#[derive(Default)]
+struct Block {
+    /// Whole lines, each ending in `\n`, except that the input's last
+    /// block may end without one.
+    bytes: Vec<u8>,
+    /// The first line is the header, which is skipped unparsed.
+    header: bool,
+    parsed: Parsed,
+}
+
+/// The outcome of every data row of one [`Block`].
+#[derive(Default)]
+struct Parsed {
+    /// Data rows in the block (the header excluded).
+    rows: usize,
+    /// Target values of the accepted rows, `targets.len()` per row.
+    values: Vec<i64>,
+    /// Each accepted row's weight; empty without a weight column.
+    weights: Vec<f64>,
+    /// Rows the parse rejected: the row's index in the block, the
+    /// cause, and the line's span in [`Block::bytes`] (without its line
+    /// break and trailing `\r`s), in ascending row order.
+    rejects: Vec<(usize, RejectCause, Range<usize>)>,
+}
+
+/// The block's lines joined by `\n`: its bytes without the final break.
+fn body(bytes: &[u8]) -> &[u8] {
+    bytes.strip_suffix(b"\n").unwrap_or(bytes)
+}
+
+/// `line` without its trailing carriage returns.
+fn trim_cr(line: &[u8]) -> &[u8] {
+    let end = line.iter().rposition(|&b| b != b'\r').map_or(0, |p| p + 1);
+    &line[..end]
+}
+
+/// One parser's scratch state, reused across blocks so the per-row loop
+/// never allocates on the common path.
+struct Parser<'a> {
     schema: &'a Schema,
     opts: &'a IntakeOptions,
-    ledger: &'a mut RejectLedger,
-    sink: &'a mut S,
-    arity: usize,
     fields: Vec<RawField>,
     normalized: Vec<Option<i64>>,
-    values: Vec<i64>,
-    row: u64,
-    seen: u64,
-    accepted: u64,
-    quarantined: Option<String>,
-    skip_header: bool,
 }
 
-impl<S: RowSink> RowLoop<'_, S> {
-    /// Process one line already known to be valid UTF-8 (line breaks
-    /// stripped by the caller except trailing `\r`). Returns `Ok(false)`
-    /// when the reject-rate threshold quarantined the run.
-    fn line_str(&mut self, line: &str) -> Result<bool, IntakeError> {
-        let line = line.trim_end_matches('\r');
-        if self.skip_header {
-            self.skip_header = false;
-            return Ok(true);
+impl<'a> Parser<'a> {
+    fn new(schema: &'a Schema, opts: &'a IntakeOptions) -> Self {
+        Self {
+            schema,
+            opts,
+            fields: Vec::with_capacity(schema.arity()),
+            normalized: Vec::with_capacity(schema.arity()),
         }
-        self.row += 1;
-        self.seen += 1;
-        let cause = self.check(line)?;
-        self.settle(cause, line.as_bytes())
     }
 
-    /// Process one raw line that may not be valid UTF-8.
-    fn line_bytes(&mut self, raw: &[u8]) -> Result<bool, IntakeError> {
-        let mut raw = raw;
-        while raw.last() == Some(&b'\r') {
-            raw = &raw[..raw.len() - 1];
+    /// Decode, split, type-check and normalize every data row of
+    /// `block` into its [`Parsed`] outcomes. One UTF-8 validation covers
+    /// the whole block; only a block holding invalid bytes is
+    /// re-checked line by line, so the encoding reject lands on the
+    /// right row.
+    fn parse(&mut self, block: &mut Block) {
+        let out = &mut block.parsed;
+        out.rows = 0;
+        out.values.clear();
+        out.weights.clear();
+        out.rejects.clear();
+        if block.bytes.is_empty() {
+            return;
         }
-        if self.skip_header {
-            self.skip_header = false;
-            return Ok(true);
-        }
-        self.row += 1;
-        self.seen += 1;
-        match std::str::from_utf8(raw) {
-            Ok(line) => {
-                let cause = self.check(line)?;
-                self.settle(cause, raw)
+        let body = body(&block.bytes);
+        let mut skip = block.header;
+        let mut start = 0usize;
+        match std::str::from_utf8(body) {
+            // '\n' is ASCII, so every line of a valid block is itself a
+            // valid str slice.
+            Ok(text) => {
+                for line in text.split('\n') {
+                    if !skip {
+                        let line = line.trim_end_matches('\r');
+                        let cause = self.check(line, out);
+                        out.push(cause, start..start + line.len());
+                    }
+                    skip = false;
+                    start += line.len() + 1;
+                }
             }
-            Err(e) => self.settle(
-                Some(RejectCause::Encoding {
-                    valid_up_to: e.valid_up_to(),
-                }),
-                raw,
-            ),
-        }
-    }
-
-    /// Every complete line of a bulk-validated UTF-8 region (`region`
-    /// ends with `\n`).
-    fn region_str(&mut self, region: &str) -> Result<bool, IntakeError> {
-        for line in region[..region.len() - 1].split('\n') {
-            if !self.line_str(line)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Every complete line of a region that failed bulk UTF-8
-    /// validation — re-checked line by line so the encoding reject lands
-    /// on the right row.
-    fn region_bytes(&mut self, region: &[u8]) -> Result<bool, IntakeError> {
-        for line in region[..region.len() - 1].split(|&b| b == b'\n') {
-            if !self.line_bytes(line)? {
-                return Ok(false);
+            Err(_) => {
+                for line in body.split(|&b| b == b'\n') {
+                    if !skip {
+                        let raw = trim_cr(line);
+                        let cause = match std::str::from_utf8(raw) {
+                            Ok(line) => self.check(line, out),
+                            Err(e) => Some(RejectCause::Encoding {
+                                valid_up_to: e.valid_up_to(),
+                            }),
+                        };
+                        out.push(cause, start..start + raw.len());
+                    }
+                    skip = false;
+                    start += line.len() + 1;
+                }
             }
         }
-        Ok(true)
     }
 
-    /// Split → arity → normalize → weight → sink, rejecting at the
-    /// first failure with column attribution where one exists.
-    fn check(&mut self, line: &str) -> Result<Option<RejectCause>, IntakeError> {
+    /// Split → arity → normalize → weight, rejecting at the first
+    /// failure with column attribution where one exists. An accepted
+    /// row's target values and weight are appended to `out`.
+    fn check(&mut self, line: &str, out: &mut Parsed) -> Option<RejectCause> {
         if line.bytes().all(|b| b.is_ascii_whitespace()) {
-            return Ok(Some(RejectCause::BlankLine));
+            return Some(RejectCause::BlankLine);
         }
-        match split_fields_into(line, self.schema.delimiter, &mut self.fields) {
-            Ok(()) => {}
-            Err(e @ (SplitError::UnclosedQuote { .. } | SplitError::JunkAfterQuote { .. })) => {
-                return Ok(Some(RejectCause::BadQuoting {
-                    column: e.column(),
-                    detail: e.to_string(),
-                }))
-            }
+        if let Err(e) = split_fields_into(line, self.schema.delimiter, &mut self.fields) {
+            return Some(RejectCause::BadQuoting {
+                column: e.column(),
+                detail: e.to_string(),
+            });
         }
-        if self.fields.len() != self.arity {
-            return Ok(Some(RejectCause::WrongArity {
-                expected: self.arity,
+        let arity = self.schema.arity();
+        if self.fields.len() != arity {
+            return Some(RejectCause::WrongArity {
+                expected: arity,
                 got: self.fields.len(),
-            }));
+            });
         }
         // Every declared column is validated, not only the ingest
         // targets — damage anywhere in the row rejects it, so the
@@ -240,99 +285,300 @@ impl<S: RowSink> RowLoop<'_, S> {
             match col.normalize(self.fields[c].as_str(line)) {
                 Ok(v) => self.normalized.push(v),
                 Err(ValueError::Unparseable { expected }) => {
-                    return Ok(Some(RejectCause::BadValue {
+                    return Some(RejectCause::BadValue {
                         column: c,
                         expected,
-                    }))
+                    })
                 }
                 Err(ValueError::OutOfDomain { value, lo, hi }) => {
-                    return Ok(Some(RejectCause::OutOfDomain {
+                    return Some(RejectCause::OutOfDomain {
                         column: c,
                         value,
                         lo,
                         hi,
-                    }))
+                    })
                 }
             }
         }
-        self.values.clear();
-        for &t in &self.opts.targets {
-            match self.normalized[t] {
-                Some(v) => self.values.push(v),
-                // A text column can never be an ingest target; callers
-                // validate this up front, but a row-level reject keeps
-                // the invariant even if they don't.
-                None => {
-                    return Ok(Some(RejectCause::BadValue {
-                        column: t,
-                        expected: "numeric",
-                    }))
-                }
-            }
+        // A text column can never be an ingest target; callers validate
+        // this up front, but a row-level reject keeps the invariant even
+        // if they don't.
+        let targets = &self.opts.targets;
+        if let Some(&t) = targets.iter().find(|&&t| self.normalized[t].is_none()) {
+            return Some(RejectCause::BadValue {
+                column: t,
+                expected: "numeric",
+            });
         }
-        let weight = match self.opts.weight {
-            None => 1.0,
-            Some(w) => match self.fields[w].as_str(line).trim().parse::<f64>() {
-                Ok(v) if v.is_finite() => v,
+        if let Some(w) = self.opts.weight {
+            match self.fields[w].as_str(line).trim().parse::<f64>() {
+                Ok(v) if v.is_finite() => out.weights.push(v),
                 _ => {
-                    return Ok(Some(RejectCause::BadValue {
+                    return Some(RejectCause::BadValue {
                         column: w,
                         expected: "weight",
-                    }))
+                    })
                 }
-            },
+            }
+        }
+        out.values
+            .extend(targets.iter().filter_map(|&t| self.normalized[t]));
+        None
+    }
+}
+
+impl Parsed {
+    /// Count one row, recording its reject if it has one.
+    fn push(&mut self, cause: Option<RejectCause>, span: Range<usize>) {
+        if let Some(cause) = cause {
+            self.rejects.push((self.rows, cause, span));
+        }
+        self.rows += 1;
+    }
+}
+
+/// Spans of a block's data rows, found on demand for the rare row a
+/// sink rejects. Rows must be asked for in ascending order, so one
+/// block is scanned at most once.
+struct RowSpans<'a> {
+    body: &'a [u8],
+    row: usize,
+    at: usize,
+}
+
+impl<'a> RowSpans<'a> {
+    fn new(bytes: &'a [u8], header: bool) -> Self {
+        let mut spans = Self {
+            body: body(bytes),
+            row: 0,
+            at: 0,
         };
-        match self.sink.accept(&self.values, weight) {
-            Ok(()) => Ok(None),
-            Err(SinkError::Reject(cause)) => Ok(Some(cause)),
-            Err(SinkError::Fatal(e)) => Err(IntakeError::Sink(e)),
+        if header {
+            spans.at = spans.line_end() + 1;
+        }
+        spans
+    }
+
+    fn line_end(&self) -> usize {
+        let rest = self.body.get(self.at..).unwrap_or_default();
+        rest.iter()
+            .position(|&b| b == b'\n')
+            .map_or(self.body.len(), |p| self.at + p)
+    }
+
+    /// Span of data row `row` (without its line break and trailing
+    /// `\r`s).
+    fn span(&mut self, row: usize) -> Range<usize> {
+        while self.row < row {
+            self.at = self.line_end() + 1;
+            self.row += 1;
+        }
+        let end = self.line_end();
+        self.at..self.at + trim_cr(&self.body[self.at..end]).len()
+    }
+}
+
+/// The calling thread's half of a run: applies parsed blocks in file
+/// order — row numbering, `sink.accept`, ledgering every reject (the
+/// sink's included), and the reject-rate threshold.
+struct Apply<'a, S: RowSink> {
+    opts: &'a IntakeOptions,
+    ledger: &'a mut RejectLedger,
+    sink: &'a mut S,
+    seen: u64,
+    accepted: u64,
+    quarantined: Option<String>,
+}
+
+impl<S: RowSink> Apply<'_, S> {
+    /// Apply every row of one parsed block; `Ok(false)` means the
+    /// threshold tripped and the run stops here.
+    fn block(&mut self, block: &mut Block) -> Result<bool, IntakeError> {
+        let Parsed {
+            rows,
+            values,
+            weights,
+            rejects,
+        } = &mut block.parsed;
+        let (bytes, header, k) = (&block.bytes, block.header, self.opts.targets.len());
+        let mut spans = None;
+        let mut rejects = rejects.drain(..);
+        let (mut row, mut next) = (0usize, 0usize);
+        // Counted in locals, so the per-row loop keeps them in registers.
+        let (mut seen, mut accepted) = (self.seen, self.accepted);
+        let go = 'rows: loop {
+            // Every row before the next parse reject passed the parse.
+            let (until, reject) = match rejects.next() {
+                Some((r, cause, span)) => (r, Some((cause, span))),
+                None => (*rows, None),
+            };
+            while row < until {
+                let weight = weights.get(next).copied().unwrap_or(1.0);
+                let result = self.sink.accept(&values[next * k..(next + 1) * k], weight);
+                next += 1;
+                row += 1;
+                seen += 1;
+                match result {
+                    Ok(()) => accepted += 1,
+                    Err(SinkError::Reject(cause)) => {
+                        let spans = spans.get_or_insert_with(|| RowSpans::new(bytes, header));
+                        self.seen = seen;
+                        if !self.reject(cause, &bytes[spans.span(row - 1)]) {
+                            break 'rows Ok(false);
+                        }
+                    }
+                    Err(SinkError::Fatal(e)) => break 'rows Err(IntakeError::Sink(e)),
+                }
+            }
+            let Some((cause, span)) = reject else {
+                break Ok(true);
+            };
+            row += 1;
+            seen += 1;
+            self.seen = seen;
+            if !self.reject(cause, &bytes[span]) {
+                break Ok(false);
+            }
+        };
+        (self.seen, self.accepted) = (seen, accepted);
+        go
+    }
+
+    /// Ledger one reject; `false` when it trips the threshold.
+    fn reject(&mut self, cause: RejectCause, raw: &[u8]) -> bool {
+        self.ledger.record(self.seen, cause, raw);
+        if let Some(threshold) = self.opts.reject_threshold {
+            let rejected = self.ledger.total();
+            if self.seen >= self.opts.threshold_min_rows
+                && rejected as f64 / self.seen as f64 > threshold
+            {
+                self.quarantined = Some(format!(
+                    "reject rate {rejected}/{} exceeded threshold {threshold}",
+                    self.seen
+                ));
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Cuts a `BufRead` into line-aligned blocks of about `block_bytes`.
+struct Cutter<R> {
+    reader: R,
+    block_bytes: usize,
+    /// Bytes past the last cut: the start of the next block.
+    carry: Vec<u8>,
+    /// The input's first line, the header, has yet to be handed out.
+    header: bool,
+    eof: bool,
+    /// A read error held back until the lines read before it are
+    /// applied, as a reader of one line at a time would have applied
+    /// them.
+    error: Option<std::io::Error>,
+}
+
+impl<R: BufRead> Cutter<R> {
+    fn new(reader: R, block_bytes: usize, header: bool) -> Self {
+        Self {
+            reader,
+            block_bytes: block_bytes.max(1),
+            carry: Vec::new(),
+            header,
+            eof: false,
+            error: None,
         }
     }
 
-    /// Book the row's outcome; `Ok(false)` means the threshold tripped.
-    fn settle(&mut self, cause: Option<RejectCause>, raw: &[u8]) -> Result<bool, IntakeError> {
-        match cause {
-            None => {
-                self.accepted += 1;
-            }
-            Some(cause) => {
-                self.ledger.record(self.row, cause, raw);
-                if let Some(threshold) = self.opts.reject_threshold {
-                    let rejected = self.ledger.total();
-                    if self.seen >= self.opts.threshold_min_rows
-                        && rejected as f64 / self.seen as f64 > threshold
-                    {
-                        self.quarantined = Some(format!(
-                            "reject rate {rejected}/{} exceeded threshold {threshold}",
-                            self.seen
-                        ));
-                        return Ok(false);
-                    }
+    /// Refill `block` with the next whole lines; `Ok(false)` at the end
+    /// of the input. Reads go straight into the block, `block_bytes` at
+    /// a time, and the block is cut after its last line break once it
+    /// holds at least `block_bytes`; a longer line grows the block
+    /// until it ends.
+    fn next(&mut self, block: &mut Block) -> std::io::Result<bool> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        let bytes = &mut block.bytes;
+        bytes.clear();
+        bytes.append(&mut self.carry);
+        let mut filled = bytes.len();
+        let mut searched = 0;
+        while !self.eof {
+            if filled >= self.block_bytes {
+                if let Some(p) = bytes[searched..filled].iter().rposition(|&b| b == b'\n') {
+                    let cut = searched + p + 1;
+                    self.carry.extend_from_slice(&bytes[cut..filled]);
+                    filled = cut;
+                    break;
                 }
+                searched = filled;
+            }
+            let want = if filled < self.block_bytes {
+                self.block_bytes
+            } else {
+                filled + self.block_bytes
+            };
+            if bytes.len() < want {
+                bytes.resize(want, 0);
+            }
+            match self.reader.read(&mut bytes[filled..want]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => match bytes[..filled].iter().rposition(|&b| b == b'\n') {
+                    // The torn line after the last break is dropped.
+                    Some(p) => {
+                        filled = p + 1;
+                        self.error = Some(e);
+                        break;
+                    }
+                    None => return Err(e),
+                },
             }
         }
-        Ok(true)
+        bytes.truncate(filled);
+        block.header = std::mem::take(&mut self.header);
+        Ok(filled > 0)
     }
 }
 
 /// Run the intake loop: read `reader` under `schema`, ledger every
 /// malformed row, feed accepted rows to `sink`.
 ///
-/// The reader is consumed chunk-at-a-time straight out of its `BufRead`
-/// buffer: complete lines are processed in place (one bulk UTF-8
-/// validation per chunk, per-line re-checks only when a chunk holds
-/// invalid bytes), and only a line straddling two chunks is ever copied.
-/// That keeps the per-row cost close to the raw parse loop it replaced.
+/// The calling thread cuts the input into line-aligned blocks of about
+/// 1 MiB. Each block is parsed — one bulk UTF-8 validation, then split,
+/// type-check and normalize per row — on one of
+/// [`IntakeOptions::threads`] workers, or inline at one worker. The
+/// calling thread then applies every block's outcomes strictly in file
+/// order: row numbers, the header skip, `sink.accept`, every ledger
+/// entry and the reject-threshold stop are exactly those of a serial
+/// pass, whatever the worker count, so every sink sees the same rows in
+/// the same order. At most `2 × threads` blocks are in flight, so memory
+/// stays bounded on unbounded input.
 ///
 /// The returned report always satisfies
 /// `rows_seen == accepted + rejected`; `report.quarantined` is `Some`
 /// when the reject-rate threshold stopped the run early.
 pub fn run<R: BufRead, S: RowSink>(
-    mut reader: R,
+    reader: R,
     schema: &Schema,
     opts: &IntakeOptions,
     ledger: &mut RejectLedger,
     sink: &mut S,
+) -> Result<IntakeReport, IntakeError> {
+    run_blocks(reader, schema, opts, ledger, sink, BLOCK_BYTES)
+}
+
+/// [`run`] with the block size as a parameter, so tests can cut tiny
+/// inputs into many blocks.
+pub(crate) fn run_blocks<R: BufRead, S: RowSink>(
+    reader: R,
+    schema: &Schema,
+    opts: &IntakeOptions,
+    ledger: &mut RejectLedger,
+    sink: &mut S,
+    block_bytes: usize,
 ) -> Result<IntakeReport, IntakeError> {
     let arity = schema.arity();
     for &c in opts.targets.iter().chain(opts.weight.iter()) {
@@ -342,87 +588,37 @@ pub fn run<R: BufRead, S: RowSink>(
             ))));
         }
     }
-    let mut state = RowLoop {
-        schema,
+    let mut cutter = Cutter::new(reader, block_bytes, schema.has_header);
+    let mut apply = Apply {
         opts,
         ledger,
         sink,
-        arity,
-        fields: Vec::with_capacity(arity),
-        normalized: Vec::with_capacity(arity),
-        values: Vec::with_capacity(opts.targets.len()),
-        row: 0,
         seen: 0,
         accepted: 0,
         quarantined: None,
-        skip_header: schema.has_header,
     };
-    // A line cut off by a chunk boundary, carried into the next chunk.
-    let mut carry: Vec<u8> = Vec::new();
-
-    'chunks: loop {
-        let buf = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(IntakeError::Io(e)),
-        };
-        if buf.is_empty() {
-            // EOF: a final line without a trailing newline.
-            if !carry.is_empty() {
-                state.line_bytes(&carry)?;
-            }
-            break;
-        }
-        let len = buf.len();
-        let mut consumed = 0usize;
-        if !carry.is_empty() {
-            match buf.iter().position(|&b| b == b'\n') {
-                None => {
-                    carry.extend_from_slice(buf);
-                    reader.consume(len);
-                    continue;
-                }
-                Some(p) => {
-                    carry.extend_from_slice(&buf[..p]);
-                    let go = state.line_bytes(&carry)?;
-                    carry.clear();
-                    consumed = p + 1;
-                    if !go {
-                        break 'chunks;
-                    }
-                }
+    let workers = opts.threads.clamp(1, MAX_THREADS);
+    if workers == 1 {
+        let mut parser = Parser::new(schema, opts);
+        let mut block = Block::default();
+        while cutter.next(&mut block)? {
+            parser.parse(&mut block);
+            if !apply.block(&mut block)? {
+                break;
             }
         }
-        // All remaining complete lines in this chunk, ending at the last
-        // newline; the tail is carried over.
-        let region_end = match buf[consumed..].iter().rposition(|&b| b == b'\n') {
-            Some(p) => consumed + p + 1,
-            None => consumed,
-        };
-        if region_end > consumed {
-            let region = &buf[consumed..region_end];
-            let go = match std::str::from_utf8(region) {
-                // '\n' is ASCII, so every line inside a valid region is
-                // itself a valid str slice.
-                Ok(s) => state.region_str(s)?,
-                Err(_) => state.region_bytes(region)?,
-            };
-            if !go {
-                break 'chunks;
-            }
-        }
-        carry.extend_from_slice(&buf[region_end..]);
-        reader.consume(len);
+    } else {
+        pipeline(&mut cutter, &mut apply, schema, opts, workers)?;
     }
 
-    let RowLoop {
+    let Apply {
         seen,
         accepted,
         quarantined,
         sink,
         ledger,
         ..
-    } = state;
+    } = apply;
     sink.finish().map_err(IntakeError::Sink)?;
     ledger.finish()?;
     // Counters are batched per run rather than bumped per row: one
@@ -437,6 +633,85 @@ pub fn run<R: BufRead, S: RowSink>(
         accepted,
         quarantined,
     ))
+}
+
+/// A block to parse and where to send it back.
+type Job = (Block, mpsc::SyncSender<Block>);
+
+/// Parse blocks on `workers` scoped threads while the calling thread
+/// cuts the input and applies parsed blocks in file order. Blocks go to
+/// the workers round-robin; each carries its own reply channel, and the
+/// calling thread waits on those replies oldest first.
+fn pipeline<R: BufRead, S: RowSink>(
+    cutter: &mut Cutter<R>,
+    apply: &mut Apply<'_, S>,
+    schema: &Schema,
+    opts: &IntakeOptions,
+    workers: usize,
+) -> Result<(), IntakeError> {
+    // Set once the calling thread stops applying, so the workers skip
+    // the blocks still queued.
+    let stop = AtomicBool::new(false);
+    let stop = &stop;
+    std::thread::scope(|s| {
+        let mut jobs = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            let (tx, rx) = mpsc::channel::<Job>();
+            jobs.push(tx);
+            s.spawn(move || {
+                let mut parser = Parser::new(schema, opts);
+                for (mut block, reply) in rx {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    parser.parse(&mut block);
+                    // A closed reply channel means the run stopped.
+                    let _ = reply.send(block);
+                }
+            });
+        }
+
+        let mut in_flight: VecDeque<mpsc::Receiver<Block>> = VecDeque::new();
+        let mut pool: Vec<Block> = Vec::new();
+        let (mut sent, mut more, mut read_error) = (0usize, true, None);
+        let driven = loop {
+            while more && in_flight.len() < workers * BLOCKS_PER_WORKER {
+                let mut block = pool.pop().unwrap_or_default();
+                match cutter.next(&mut block) {
+                    Ok(true) => {
+                        let (reply, done) = mpsc::sync_channel(1);
+                        // A worker that is gone drops the job, and its
+                        // reply channel with it: the wait below sees that.
+                        let _ = jobs[sent % workers].send((block, reply));
+                        in_flight.push_back(done);
+                        sent += 1;
+                    }
+                    Ok(false) => more = false,
+                    Err(e) => {
+                        more = false;
+                        read_error = Some(e);
+                    }
+                }
+            }
+            let Some(done) = in_flight.pop_front() else {
+                break read_error.map_or(Ok(()), |e| Err(IntakeError::Io(e)));
+            };
+            // A closed reply channel means a worker panicked: the scope
+            // re-raises that panic once every worker has been joined.
+            let Ok(mut block) = done.recv() else {
+                break Ok(());
+            };
+            match apply.block(&mut block) {
+                Ok(true) => pool.push(block),
+                Ok(false) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        stop.store(true, Ordering::Relaxed);
+        // Closing the job channels ends every worker's loop.
+        drop(jobs);
+        driven
+    })
 }
 
 /// Rows buffered per `ParallelIngest` flush by [`MultiSink`]. One flush
@@ -1042,5 +1317,244 @@ mod tests {
         let report = intake_count("hello,1\n", &schema, &IntakeOptions::default());
         assert_eq!(report.rejected, 1);
         assert_eq!(report.sample[0].cause.label(), "bad-value");
+    }
+
+    /// Records every accepted row, and rejects values above `max` the
+    /// way a synopsis narrower than the schema does.
+    #[derive(Default)]
+    struct RecordingSink {
+        rows: Vec<(Vec<i64>, f64)>,
+        max: Option<i64>,
+    }
+
+    impl RowSink for RecordingSink {
+        fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
+            if let Some(max) = self.max.filter(|&m| values[0] > m) {
+                return Err(SinkError::Reject(RejectCause::OutOfDomain {
+                    column: 0,
+                    value: values[0],
+                    lo: 0,
+                    hi: max,
+                }));
+            }
+            self.rows.push((values.to_vec(), weight));
+            Ok(())
+        }
+
+        fn finish(&mut self) -> Result<(), DctError> {
+            Ok(())
+        }
+    }
+
+    /// Everything one run produced: the report, the sidecar bytes, and
+    /// the rows the sink accepted, in order.
+    type Outcome = (IntakeReport, Vec<u8>, Vec<(Vec<i64>, f64)>);
+
+    fn outcome(
+        input: impl BufRead,
+        schema: &Schema,
+        opts: &IntakeOptions,
+        block_bytes: usize,
+    ) -> Result<Outcome, IntakeError> {
+        let dir = std::env::temp_dir().join(format!("intake-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!(
+            "{:?}-{block_bytes}-{}.rejects",
+            std::thread::current().id(),
+            opts.threads
+        ));
+        let mut ledger = RejectLedger::new(usize::MAX).with_sidecar(&path).unwrap();
+        let mut sink = RecordingSink {
+            max: Some(50),
+            ..RecordingSink::default()
+        };
+        let report = run_blocks(input, schema, opts, &mut ledger, &mut sink, block_bytes);
+        let sidecar = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        report.map(|r| (r, sidecar, sink.rows))
+    }
+
+    /// A schema for [`messy_input`]: an int key, a float weight column
+    /// and a text column.
+    fn messy_schema(header: bool) -> Schema {
+        Schema {
+            delimiter: b',',
+            has_header: header,
+            columns: vec![
+                Column {
+                    name: "k".into(),
+                    ty: ColumnType::Int,
+                    domain: Some((0, 99)),
+                },
+                Column {
+                    name: "w".into(),
+                    ty: ColumnType::Float { scale: 10 },
+                    domain: None,
+                },
+                Column {
+                    name: "t".into(),
+                    ty: ColumnType::Text,
+                    domain: None,
+                },
+            ],
+        }
+    }
+
+    /// CRLF and bare `\r` line ends, quoted fields with delimiters and
+    /// doubled quotes, invalid UTF-8, blank and whitespace lines, a line
+    /// longer than every tiny block, bad values, sink rejects (keys over
+    /// 50) — and no trailing newline.
+    fn messy_input() -> Vec<u8> {
+        let mut bytes = b"k,w,t\r\n".to_vec();
+        for i in 0..60u32 {
+            let line = match i % 10 {
+                0 => format!("{},1.5,\"a,b\"\r\n", i),
+                1 => format!("{},2,\"say \"\"hi\"\"\"\n", 99 - i),
+                2 => "\n".to_string(),
+                3 => format!("{},0.5,{}\n", i, "x".repeat(90)),
+                4 => format!("{},nan,t\n", i),
+                5 => format!("{},1,\"open\n", i),
+                6 => format!(" {} ,2.5,t\r\r\n", i + 1),
+                7 => format!("{},3\n", i),
+                8 => "   \t\n".to_string(),
+                _ => format!("{},-1,t\n", i * 3),
+            };
+            bytes.extend_from_slice(line.as_bytes());
+            if i == 33 {
+                bytes.extend_from_slice(&[b'4', 0xff, b',', b'1', b',', 0xc3, b'\r', b'\n']);
+            }
+        }
+        bytes.extend_from_slice(b"7,2,tail");
+        bytes
+    }
+
+    const BLOCK_SIZES: [usize; 5] = [1, 3, 7, 64, BLOCK_BYTES];
+
+    #[test]
+    fn every_worker_count_and_block_size_applies_rows_in_file_order() {
+        let cases: [(&[u8], bool); 5] = [
+            (&messy_input(), true),
+            (&messy_input(), false),
+            (b"", true),
+            (b"", false),
+            (b"1,1,x\n\n", false),
+        ];
+        for (input, header) in cases {
+            let schema = messy_schema(header);
+            let opts = IntakeOptions {
+                weight: Some(1),
+                ..IntakeOptions::default()
+            };
+            let serial = outcome(Cursor::new(input), &schema, &opts, BLOCK_BYTES).unwrap();
+            if !input.is_empty() {
+                assert!(
+                    serial.0.rejected > 0 && serial.0.accepted > 0,
+                    "{:?}",
+                    serial.0
+                );
+            }
+            for block_bytes in BLOCK_SIZES {
+                for threads in [1, 2, 4] {
+                    let opts = IntakeOptions {
+                        threads,
+                        ..opts.clone()
+                    };
+                    let got = outcome(Cursor::new(input), &schema, &opts, block_bytes).unwrap();
+                    assert!(
+                        got == serial,
+                        "threads {threads}, blocks of {block_bytes}: {:?} vs {:?}",
+                        got.0,
+                        serial.0
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_threshold_stops_at_the_same_row_at_every_worker_count() {
+        let schema = messy_schema(true);
+        let opts = IntakeOptions {
+            weight: Some(1),
+            reject_threshold: Some(0.3),
+            threshold_min_rows: 20,
+            ..IntakeOptions::default()
+        };
+        let serial = outcome(Cursor::new(messy_input()), &schema, &opts, BLOCK_BYTES).unwrap();
+        assert!(serial.0.quarantined.is_some(), "{:?}", serial.0);
+        assert!(serial.0.rows_seen < 61, "stopped early: {:?}", serial.0);
+        for block_bytes in BLOCK_SIZES {
+            for threads in [1, 2, 4] {
+                let opts = IntakeOptions {
+                    threads,
+                    ..opts.clone()
+                };
+                let got = outcome(Cursor::new(messy_input()), &schema, &opts, block_bytes).unwrap();
+                assert!(got == serial, "threads {threads}, blocks of {block_bytes}");
+            }
+        }
+    }
+
+    /// Serves `data` in reads of at most `chunk` bytes, then fails.
+    struct FailingReader {
+        data: Vec<u8>,
+        at: usize,
+        chunk: usize,
+    }
+
+    impl std::io::Read for FailingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.at == self.data.len() {
+                return Err(std::io::Error::other("device gone"));
+            }
+            let n = buf.len().min(self.chunk).min(self.data.len() - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_error_comes_after_every_whole_line_before_it() {
+        let schema = messy_schema(true);
+        let data = messy_input();
+        // The lines a reader of one line at a time would apply first.
+        let whole = data.iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        let serial = outcome(
+            Cursor::new(&data[..whole]),
+            &schema,
+            &IntakeOptions::default(),
+            7,
+        )
+        .unwrap();
+        for block_bytes in BLOCK_SIZES {
+            for threads in [1, 2, 4] {
+                let opts = IntakeOptions {
+                    threads,
+                    ..IntakeOptions::default()
+                };
+                let mut ledger = RejectLedger::new(usize::MAX);
+                let mut sink = RecordingSink {
+                    max: Some(50),
+                    ..RecordingSink::default()
+                };
+                let reader = std::io::BufReader::with_capacity(
+                    5,
+                    FailingReader {
+                        data: data.clone(),
+                        at: 0,
+                        chunk: 11,
+                    },
+                );
+                let err = run_blocks(reader, &schema, &opts, &mut ledger, &mut sink, block_bytes)
+                    .unwrap_err();
+                assert!(matches!(err, IntakeError::Io(_)), "{err:?}");
+                assert_eq!(
+                    sink.rows, serial.2,
+                    "threads {threads}, blocks {block_bytes}"
+                );
+                assert_eq!(ledger.total(), serial.0.rejected);
+            }
+        }
     }
 }

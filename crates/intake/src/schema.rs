@@ -94,7 +94,7 @@ pub enum ValueError {
 /// `str::parse::<i64>` (which accepts exactly the same grammar) but
 /// without the `Result`/radix generality, which measures ~2x faster on
 /// the short fields CSV is made of.
-fn fast_i64(bytes: &[u8]) -> Option<i64> {
+pub(crate) fn fast_i64(bytes: &[u8]) -> Option<i64> {
     let (neg, digits) = match bytes.first()? {
         b'-' => (true, &bytes[1..]),
         b'+' => (false, &bytes[1..]),
@@ -117,6 +117,40 @@ fn fast_i64(bytes: &[u8]) -> Option<i64> {
     } else {
         acc.checked_neg()
     }
+}
+
+/// A `bool` token (`true/false`, `t/f`, `yes/no`, `y/n`, `1/0`, any
+/// ASCII case) as `1`/`0`, without allocating.
+pub(crate) fn parse_bool(t: &str) -> Option<i64> {
+    const TOKENS: [(&str, i64); 10] = [
+        ("true", 1),
+        ("t", 1),
+        ("yes", 1),
+        ("y", 1),
+        ("1", 1),
+        ("false", 0),
+        ("f", 0),
+        ("no", 0),
+        ("n", 0),
+        ("0", 0),
+    ];
+    TOKENS
+        .iter()
+        .find(|(token, _)| token.eq_ignore_ascii_case(t))
+        .map(|&(_, v)| v)
+}
+
+/// A finite float normalized as `float:scale` normalizes it:
+/// `round(v * scale)`, or `None` when that does not fit an `i64`.
+pub(crate) fn scale_float(v: f64, scale: u32) -> Option<i64> {
+    if !v.is_finite() {
+        return None;
+    }
+    let scaled = (v * f64::from(scale)).round();
+    if scaled < i64::MIN as f64 || scaled > i64::MAX as f64 {
+        return None;
+    }
+    Some(scaled as i64)
 }
 
 /// One column of a [`Schema`].
@@ -142,24 +176,14 @@ impl Column {
             ColumnType::Int => {
                 fast_i64(trimmed.as_bytes()).ok_or(ValueError::Unparseable { expected: "int" })?
             }
-            ColumnType::Float { scale } => {
-                let v: f64 = trimmed
-                    .parse()
-                    .map_err(|_| ValueError::Unparseable { expected: "float" })?;
-                if !v.is_finite() {
-                    return Err(ValueError::Unparseable { expected: "float" });
-                }
-                let scaled = (v * f64::from(scale)).round();
-                if scaled < i64::MIN as f64 || scaled > i64::MAX as f64 {
-                    return Err(ValueError::Unparseable { expected: "float" });
-                }
-                scaled as i64
+            ColumnType::Float { scale } => trimmed
+                .parse()
+                .ok()
+                .and_then(|v| scale_float(v, scale))
+                .ok_or(ValueError::Unparseable { expected: "float" })?,
+            ColumnType::Bool => {
+                parse_bool(trimmed).ok_or(ValueError::Unparseable { expected: "bool" })?
             }
-            ColumnType::Bool => match trimmed.to_ascii_lowercase().as_str() {
-                "true" | "t" | "yes" | "y" | "1" => 1,
-                "false" | "f" | "no" | "n" | "0" => 0,
-                _ => return Err(ValueError::Unparseable { expected: "bool" }),
-            },
         };
         if let Some((lo, hi)) = self.domain {
             if value < lo || value > hi {

@@ -13,15 +13,17 @@
 //! sets 1,000,000) overrides both.
 
 use dctstream_datagen::dirty::{inject, CorruptionClass};
+use dctstream_datagen::ZipfSampler;
 use dctstream_intake::{
-    run, Column, ColumnType, CosineSink, IntakeOptions, IntakeReport, RejectLedger, Schema,
+    probe, run, Column, ColumnType, CosineSink, IntakeOptions, IntakeReport, ProbeOptions,
+    RejectCause, RejectLedger, RowSink, Schema, SinkError,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
-use std::io::Cursor;
+use std::io::{BufRead, BufReader, Cursor, Read};
 
-use dctstream::{CosineSynopsis, Domain, Grid};
+use dctstream::{CosineSynopsis, DctError, Domain, Grid};
 
 fn sweep_rows() -> usize {
     std::env::var("INTAKE_SWEEP_ROWS")
@@ -64,7 +66,7 @@ fn schema2() -> Schema {
 }
 
 /// Intake `bytes` under the two-column schema into a fresh synopsis,
-/// keeping *every* reject in the in-memory sample for attribution
+/// with `threads` parse and flush workers, keeping *every* reject in the in-memory sample for attribution
 /// checks. Panics only if intake itself fails fatally — which the
 /// harness treats as a test failure.
 fn intake_cosine(bytes: &[u8], threads: usize) -> (CosineSynopsis, IntakeReport) {
@@ -73,14 +75,12 @@ fn intake_cosine(bytes: &[u8], threads: usize) -> (CosineSynopsis, IntakeReport)
     let mut syn = CosineSynopsis::new(Domain::new(0, 999), Grid::Midpoint, 32).unwrap();
     let report = {
         let mut sink = CosineSink::new(&mut syn, threads, &[0]);
-        run(
-            Cursor::new(bytes),
-            &schema,
-            &IntakeOptions::default(),
-            &mut ledger,
-            &mut sink,
-        )
-        .expect("intake must not fail fatally on malformed rows")
+        let opts = IntakeOptions {
+            threads,
+            ..IntakeOptions::default()
+        };
+        run(Cursor::new(bytes), &schema, &opts, &mut ledger, &mut sink)
+            .expect("intake must not fail fatally on malformed rows")
     };
     (syn, report)
 }
@@ -235,4 +235,203 @@ fn shuffled_rows_all_land_with_equal_mass() {
     for (a, b) in shuffled_syn.sums().iter().zip(clean_syn.sums()) {
         assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "{a} vs {b}");
     }
+}
+
+/// A header and 20,000 Zipf-keyed rows (key, a two-decimal price, a
+/// flag), 2% corrupted across every corruption class.
+fn dirty_zipf_csv() -> Vec<u8> {
+    let zipf = ZipfSampler::new(5_000, 1.1);
+    let mut rng = StdRng::seed_from_u64(27);
+    let mut clean = String::new();
+    for _ in 0..20_000 {
+        let key = zipf.sample(&mut rng);
+        let cents: u32 = rng.random_range(0..100_000);
+        let flag = if rng.random_range(0..2u8) == 0 {
+            "yes"
+        } else {
+            "no"
+        };
+        clean.push_str(&format!(
+            "{key},{}.{:02},{flag}\n",
+            cents / 100,
+            cents % 100
+        ));
+    }
+    let mut bytes = b"key,price,flag\n".to_vec();
+    bytes.extend(inject(&clean, 0.02, 11, &CorruptionClass::ALL).bytes);
+    bytes
+}
+
+/// The `.schema` text and (sampled, skipped) report `probe` must give
+/// on [`dirty_zipf_csv`] at each `--sample-rows`.
+const PINNED_ZIPF: [(usize, u64, u64, &str); 3] = [
+    (
+        2000,
+        2000,
+        24,
+        "dctstream-schema v1\ndelimiter ,\nheader true\ncolumn 0 key int 0:999999999\n\
+         column 1 price float:100 41:99961\ncolumn 2 flag bool 0:1\n",
+    ),
+    (
+        200,
+        200,
+        3,
+        "dctstream-schema v1\ndelimiter ,\nheader true\ncolumn 0 key int 0:4829\n\
+         column 1 price float:100 178:99929\ncolumn 2 flag bool 0:1\n",
+    ),
+    (
+        0,
+        19761,
+        239,
+        "dctstream-schema v1\ndelimiter ,\nheader true\ncolumn 0 key int 0:999999999\n\
+         column 1 price float:100 0:99999999900\ncolumn 2 flag bool 0:1\n",
+    ),
+];
+
+#[test]
+fn probed_schema_of_a_dirty_zipf_file_is_pinned() {
+    let bytes = dirty_zipf_csv();
+    for (sample_rows, sampled, skipped, expected) in PINNED_ZIPF {
+        let opts = ProbeOptions {
+            sample_rows,
+            ..ProbeOptions::default()
+        };
+        let (schema, report) = probe(Cursor::new(&bytes), &opts).unwrap();
+        assert_eq!(schema.render(), expected, "--sample-rows {sample_rows}");
+        assert_eq!(
+            (report.rows_sampled, report.rows_skipped),
+            (sampled, skipped)
+        );
+    }
+}
+
+/// Records every accepted row, and rejects keys over 990 the way a
+/// synopsis narrower than the schema does.
+#[derive(Default)]
+struct RecordingSink(Vec<(i64, f64)>);
+
+impl RowSink for RecordingSink {
+    fn accept(&mut self, values: &[i64], weight: f64) -> Result<(), SinkError> {
+        if values[0] > 990 {
+            return Err(SinkError::Reject(RejectCause::OutOfDomain {
+                column: 0,
+                value: values[0],
+                lo: 0,
+                hi: 990,
+            }));
+        }
+        self.0.push((values[0], weight));
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), DctError> {
+        Ok(())
+    }
+}
+
+/// Serves its bytes in short, uneven reads, as a pipe on stdin does.
+struct Pipe {
+    data: Vec<u8>,
+    at: usize,
+}
+
+impl Read for Pipe {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let step = 1 + (self.at * 7 + 13) % 4093;
+        let n = buf.len().min(step).min(self.data.len() - self.at);
+        buf[..n].copy_from_slice(&self.data[self.at..n + self.at]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// A header, then every corruption class over a few MB (several parse
+/// blocks), CRLF on every third line, a late burst of bad rows, and no
+/// trailing newline.
+fn ordering_input() -> Vec<u8> {
+    let rows = if cfg!(debug_assertions) {
+        300_000
+    } else {
+        800_000
+    };
+    let dirty = inject(&clean_csv(rows), 0.01, 0x5EED, &CorruptionClass::ALL);
+    let mut bytes = b"a,b\r\n".to_vec();
+    for (i, line) in dirty.bytes.split(|&b| b == b'\n').enumerate() {
+        if i == rows * 7 / 10 {
+            bytes.extend(b"x,y\n".repeat(rows / 20));
+        }
+        bytes.extend_from_slice(line);
+        bytes.extend_from_slice(if i % 3 == 0 { b"\r\n" } else { b"\n" });
+    }
+    while bytes.last().is_some_and(|b| b.is_ascii_whitespace()) {
+        bytes.pop();
+    }
+    bytes
+}
+
+/// One run's report, rejects sidecar and accepted rows, in order.
+fn ordered_outcome(
+    input: impl BufRead,
+    opts: &IntakeOptions,
+    sidecar: &std::path::Path,
+) -> (IntakeReport, Vec<u8>, Vec<(i64, f64)>) {
+    let mut schema = schema2();
+    schema.has_header = true;
+    let mut ledger = RejectLedger::new(usize::MAX).with_sidecar(sidecar).unwrap();
+    let mut sink = RecordingSink::default();
+    let report = run(input, &schema, opts, &mut ledger, &mut sink).unwrap();
+    (report, std::fs::read(sidecar).unwrap(), sink.0)
+}
+
+#[test]
+fn rows_reach_the_sink_and_ledger_in_file_order_at_every_worker_count() {
+    let bytes = ordering_input();
+    assert!(
+        bytes.len() > 2 << 20,
+        "several blocks: {} bytes",
+        bytes.len()
+    );
+    let dir = std::env::temp_dir().join(format!("intake-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sidecar = dir.join("rejects");
+    // Without a threshold every row is seen; with one the run stops in
+    // the late burst.
+    for threshold in [None, Some(0.03)] {
+        let opts = IntakeOptions {
+            reject_threshold: threshold,
+            ..IntakeOptions::default()
+        };
+        let serial = ordered_outcome(Cursor::new(&bytes), &opts, &sidecar);
+        assert_eq!(serial.0.quarantined.is_some(), threshold.is_some());
+        assert!(
+            serial.0.rows_seen > 200_000,
+            "stops late: {}",
+            serial.0.rows_seen
+        );
+        assert!(serial.0.by_cause.len() >= 5, "{:?}", serial.0.by_cause);
+        for threads in [1, 2, 4] {
+            let opts = IntakeOptions {
+                threads,
+                ..opts.clone()
+            };
+            let file = ordered_outcome(Cursor::new(&bytes), &opts, &sidecar);
+            let pipe = Pipe {
+                data: bytes.clone(),
+                at: 0,
+            };
+            let stdin = ordered_outcome(BufReader::new(pipe), &opts, &sidecar);
+            for (name, got) in [("file", file), ("stdin", stdin)] {
+                assert_eq!(got.0, serial.0, "{name}, {threads} workers");
+                assert!(
+                    got.1 == serial.1,
+                    "{name}, {threads} workers: ledgers differ"
+                );
+                assert!(
+                    got.2 == serial.2,
+                    "{name}, {threads} workers: sink rows differ"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
